@@ -3,10 +3,13 @@ export, the api facade, and the common configs (fast paths only — the
 full experiments run in benchmarks/)."""
 
 import csv
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import build_workload, compare_schedulers, run_experiment
+from repro.experiments import bench
 from repro.experiments.common import (
     STANDARD_SPEEDUP,
     ExperimentScale,
@@ -128,3 +131,34 @@ class TestApiFacade:
         out = compare_schedulers(self.small_trace(), schedulers=("noshare", "jaws2"))
         assert set(out) == {"noshare", "jaws2"}
         assert all(r.n_queries > 0 for r in out.values())
+
+
+class TestBenchRegressionGate:
+    """``check_regression`` reads an exact-only report against every
+    recorded baseline format."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @staticmethod
+    def report(baseline_path, factor=1.0, slow=None):
+        """A one-engine quick report at ``factor`` x the baseline's
+        exact walls, with scheduler ``slow`` at 3x."""
+        baseline = json.loads(baseline_path.read_text())["quick"]
+        rows = {}
+        for name, row in baseline["schedulers"].items():
+            wall = row["exact"]["wall_s"] if "exact" in row else row["wall_s"]
+            rows[name] = {"wall_s": wall * (3.0 if name == slow else factor)}
+        return {
+            "format": bench.FORMAT_VERSION,
+            "mode": "quick",
+            "total_wall_s": sum(row["wall_s"] for row in rows.values()),
+            "schedulers": rows,
+        }
+
+    @pytest.mark.parametrize("baseline", ["BENCH_PR5.json", "BENCH_PR10.json"])
+    def test_exact_only_report_against_baseline(self, baseline):
+        path = self.ROOT / baseline
+        assert bench.check_regression(self.report(path, factor=1.5), path) is None
+        failure = bench.check_regression(self.report(path, slow="liferaft2"), path)
+        assert failure is not None
+        assert failure.startswith("liferaft2:")

@@ -28,6 +28,8 @@ from repro.errors import JournalError
 from repro.fuzz import campaign as campaign_module
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.runner import execute_scenario
+from repro.fuzz.spec import SPEC_FORMAT_VERSION
+from repro.parallel.journal import CampaignJournal
 
 SEED, RUNS = 3, 5
 
@@ -115,6 +117,27 @@ def test_resume_with_different_arguments_refused(tmp_path):
         run_campaign(seed=SEED + 1, runs=2, jobs=1, quick=True, journal_path=journal)
     with pytest.raises(JournalError, match="different campaign"):
         run_campaign(seed=SEED, runs=3, jobs=1, quick=True, journal_path=journal)
+
+
+def test_journal_pinning_the_removed_fast_engine_refused(tmp_path, monkeypatch):
+    """A journal written by a campaign that ran ``engine_kind="fast"``
+    pins that kind in its header; the one engine left must not resume
+    it as if it were its own."""
+    journal = tmp_path / "campaign.jsonl"
+    meta = {
+        "kind": "fuzz-campaign",
+        "format": SPEC_FORMAT_VERSION,
+        "seed": SEED,
+        "runs": 2,
+        "quick": True,
+        "engine_kind": "fast",
+    }
+    CampaignJournal.open(journal, meta=meta)[0].close()
+    executed = []
+    monkeypatch.setattr(campaign_module, "execute_scenario", _counting(executed))
+    with pytest.raises(JournalError, match="different campaign"):
+        run_campaign(seed=SEED, runs=2, jobs=1, quick=True, journal_path=journal)
+    assert executed == []
 
 
 def test_parallel_resume_matches_serial_reference(tmp_path, reference):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
 from repro.grid.interpolation import (
+    _SUBCOMBO_TABLE,
     InterpolationSpec,
+    neighbor_atoms_from_keys,
     stencil_atoms,
     subquery_neighbor_atoms,
 )
+from repro.morton.codec import morton_decode_scalar, morton_encode_unchecked
 
 SPEC = DatasetSpec.small(n_timesteps=4, atoms_per_axis=8)
 MAPPER = AtomMapper(SPEC)
@@ -100,3 +103,31 @@ class TestFastPathEquivalence:
         ts = 0
         for atom_id, idx in MAPPER.group_by_atom(pos, ts):
             assert subquery_neighbor_atoms(SPEC, pos[idx], atom_id, InterpolationSpec(order=8)) == []
+
+
+def codec_neighbor_codes(n_axis, primary_morton, key_tuple):
+    """Neighbor codes straight from the vectorized Morton codec, the
+    way a memo miss computed them before the lookup tables."""
+    deltas = sorted({c for key in key_tuple for c in _SUBCOMBO_TABLE[key]})
+    px, py, pz = morton_decode_scalar(primary_morton)
+    arr = np.array(deltas, dtype=np.int64)
+    encoded = morton_encode_unchecked(
+        (px + arr[:, 0]) % n_axis,
+        (py + arr[:, 1]) % n_axis,
+        (pz + arr[:, 2]) % n_axis,
+    )
+    return [int(c) for c in np.unique(encoded.astype(np.int64))]
+
+
+class TestMortonTables:
+    @pytest.mark.parametrize("n_axis", [2, 4, 8])
+    def test_table_codes_equal_codec_codes(self, n_axis):
+        spec = DatasetSpec.small(n_timesteps=2, atoms_per_axis=n_axis)
+        apt = spec.atoms_per_timestep
+        key_sets = [(k,) for k in range(27) if k != 13] + [(0, 26), (4, 12, 14, 22)]
+        for primary in range(apt):
+            for key_tuple in key_sets:
+                keys = np.array((*key_tuple, 13), dtype=np.int8)
+                got = neighbor_atoms_from_keys(spec, keys, apt + primary)
+                want = codec_neighbor_codes(n_axis, primary, key_tuple)
+                assert got == [apt + c for c in want]

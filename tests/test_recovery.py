@@ -72,7 +72,7 @@ def test_crash_restore_bit_identical(tmp_path, crash_at):
     assert_identical(baseline, resumed)
 
 
-@pytest.mark.parametrize("name", ["noshare", "liferaft2"])
+@pytest.mark.parametrize("name", ["noshare", "liferaft1", "liferaft2"])
 def test_crash_restore_other_schedulers(tmp_path, name):
     trace = small_trace()
     baseline = build_sim(trace, name).run()

@@ -7,6 +7,7 @@ import pytest
 from repro.config import CostModel, SchedulerConfig
 from repro.core.jaws import JAWSScheduler
 from repro.core.liferaft import LifeRaftScheduler
+from repro.core.metrics import workload_throughput
 from repro.core.noshare import NoShareScheduler
 from repro.grid.atoms import AtomMapper
 from repro.grid.dataset import DatasetSpec
@@ -124,6 +125,86 @@ class TestLifeRaft:
         s = LifeRaftScheduler(SPEC, COST, alpha=0.0)
         assert s.next_batch(0.0) is None
         assert not s.has_pending()
+
+
+def exact_choice(s, now):
+    """Today's uncached Eq. 2 decision: the lowest atom id among the
+    maxima of the full aged metric."""
+    ids, _, _, u_e = s._metric_view(now)
+    return int(ids[np.flatnonzero(u_e == u_e.max())].min())
+
+
+def drive_against_formula(s, now, step=1.0):
+    """Drain every atom, checking each decision against the formula;
+    returns ``(atom, cached_after)`` per decision."""
+    trail = []
+    while s.has_pending():
+        expected = exact_choice(s, now)
+        batch = s.next_batch(now)
+        assert batch.atoms[0][0] == expected
+        trail.append((expected, s._tie_ver != -1))
+        now += step
+    return trail
+
+
+class TestLifeRaftTieCache:
+    """The proof-gated tie-set cache refuses every case it cannot prove."""
+
+    def arrive(self, s, qid, center, n_positions, now):
+        q, subs = make_query(qid, [center] * n_positions)
+        s.on_query_arrival(q, subs, now)
+        return subs[0].atom_id
+
+    def test_rounding_collapsed_alpha_zero_tie_is_not_cached(self):
+        # Cached atoms have U_t = W / (T_m * W), which rounds to one of
+        # two adjacent floats depending on W.
+        ws = np.arange(1, 200)
+        u = workload_throughput(ws, np.ones(ws.size, dtype=bool), COST)
+        w_low = int(ws[u < u.max()][0])
+        w_high = int(ws[u == u.max()][0])
+        w_lo = 87  # uncached: subtracting it collapses the two above
+        lows = workload_throughput(
+            np.array([w_low, w_high, w_lo]), np.array([True, True, False]), COST
+        )
+        assert lows[0] < lows[1]
+        assert lows[0] - lows[2] == lows[1] - lows[2]
+
+        s = LifeRaftScheduler(SPEC, COST, alpha=0.0, time_bound=1e9)
+        low = self.arrive(s, 0, atom_center(0, 0, 0), w_low, 0.0)
+        high = self.arrive(s, 1, atom_center(1, 0, 0), w_high, 0.0)
+        twin = self.arrive(s, 2, atom_center(0, 1, 0), w_high, 0.0)
+        self.arrive(s, 3, atom_center(1, 1, 0), w_lo, 0.0)
+        for atom in (low, high, twin):
+            s.queues.on_cache_insert(atom)
+        trail = drive_against_formula(s, 1.0)
+        # The lower U_t normalizes to exactly 1.0 and wins the id
+        # tie-break; that tie set is not the exact-max set.
+        assert trail[0] == (low, False)
+        # With it drained the two equal maxima tie honestly: cached.
+        assert trail[1] == (high, True)
+
+    def test_alpha_one_failing_margin_is_not_cached(self):
+        s = LifeRaftScheduler(SPEC, COST, alpha=1.0, time_bound=1e9)
+        self.arrive(s, 0, atom_center(0, 0, 0), 3, 10.0)
+        self.arrive(s, 1, atom_center(1, 0, 0), 3, 10.0)
+        # 1e-7 behind the argmin pair: inside 2**-40 * (span + 1e9).
+        self.arrive(s, 2, atom_center(0, 1, 0), 3, 10.0 + 1e-7)
+        self.arrive(s, 3, atom_center(1, 1, 0), 3, 50.0)
+        trail = drive_against_formula(s, 60.0)
+        assert len(trail) == 4
+        assert not any(cached for _, cached in trail)
+
+    @pytest.mark.parametrize("time_bound", [None, 1e9])
+    def test_alpha_one_caches_only_with_a_clock_bound(self, time_bound):
+        s = LifeRaftScheduler(SPEC, COST, alpha=1.0, time_bound=time_bound)
+        self.arrive(s, 0, atom_center(0, 0, 0), 3, 10.0)
+        self.arrive(s, 1, atom_center(1, 0, 0), 3, 10.0)
+        self.arrive(s, 2, atom_center(0, 1, 0), 3, 20.0)
+        self.arrive(s, 3, atom_center(1, 1, 0), 3, 50.0)
+        trail = drive_against_formula(s, 60.0)
+        assert trail[0][1] is (time_bound is not None)
+        if time_bound is None:
+            assert not any(cached for _, cached in trail)
 
 
 class TestJAWSTwoLevel:

@@ -127,12 +127,14 @@ class TestTopology:
 class TestShardRuns:
     def test_single_shard_matches_cluster_engine(self):
         trace = small_trace(seed=1)
-        sharded = run_sharded(
-            trace, "jaws2", 4, shards=ShardConfig(n_shards=1), engine=engine()
-        )
-        cluster = run_cluster(trace, "jaws2", 4, engine=engine())
-        assert results_equivalent(cluster.result, sharded.result) is None
-        assert sharded.n_shards == 1
+        # LifeRaft carries tie-set cache state across decisions.
+        for name in ("jaws2", "liferaft1", "liferaft2"):
+            sharded = run_sharded(
+                trace, name, 4, shards=ShardConfig(n_shards=1), engine=engine()
+            )
+            cluster = run_cluster(trace, name, 4, engine=engine())
+            assert results_equivalent(cluster.result, sharded.result) is None, name
+            assert sharded.n_shards == 1
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_all_queries_complete(self, n_shards):
@@ -259,21 +261,24 @@ class TestRecovery:
 
     def test_resume_is_bit_identical(self, tmp_path):
         trace = small_trace(seed=1)
-        reference = run_sharded(
-            trace, "jaws2", 4, shards=ShardConfig(n_shards=2), engine=engine()
-        )
-        with pytest.raises(CoordinatorCrash):
-            run_sharded(
-                trace,
-                "jaws2",
-                4,
-                shards=self._shards(tmp_path, halt_after_barrier=2),
-                engine=engine(),
+        # LifeRaft's tie-set cache must survive the barrier snapshots.
+        for name in ("jaws2", "liferaft1", "liferaft2"):
+            ckpt = tmp_path / name
+            reference = run_sharded(
+                trace, name, 4, shards=ShardConfig(n_shards=2), engine=engine()
             )
-        assert latest_manifest(tmp_path) is not None
-        resumed = resume_cluster(tmp_path).run()
-        assert results_equivalent(reference.result, resumed.result) is None
-        assert_conserved(resumed.shard_stats)
+            with pytest.raises(CoordinatorCrash):
+                run_sharded(
+                    trace,
+                    name,
+                    4,
+                    shards=self._shards(ckpt, halt_after_barrier=2),
+                    engine=engine(),
+                )
+            assert latest_manifest(ckpt) is not None
+            resumed = resume_cluster(ckpt).run()
+            assert results_equivalent(reference.result, resumed.result) is None, name
+            assert_conserved(resumed.shard_stats)
 
     def test_resume_after_failover(self, tmp_path):
         trace = small_trace(seed=2)
