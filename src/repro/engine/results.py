@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.base import RunObservation
 
-__all__ = ["RunResult"]
+__all__ = ["RunResult", "sum_counters"]
+
+
+def sum_counters(snapshots: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Key-wise total of counter snapshots, in first-seen key order.
+
+    Numbers add and flags (bools) are OR-ed.  A ``hit_ratio`` does not
+    add: it is recomputed from the summed ``hits`` and ``misses``.
+    """
+    total: dict[str, Any] = {}
+    for snapshot in snapshots:
+        for key, val in snapshot.items():
+            if isinstance(val, bool):
+                total[key] = total.get(key, False) or val
+            elif key != "hit_ratio":
+                total[key] = total.get(key, 0) + val
+    if "hits" in total:
+        accesses = total["hits"] + total.get("misses", 0)
+        total["hit_ratio"] = total["hits"] / accesses if accesses else 0.0
+    return total
 
 
 @dataclass
@@ -206,6 +225,51 @@ class RunResult:
             "shed_queries": self.shed_queries,
             "throttled_jobs": self.throttled_jobs,
         }
+
+    @classmethod
+    def merge(cls, parts: Sequence["RunResult"]) -> "RunResult":
+        """One result for a run split over disjoint node sets (the shard
+        domains of a sharded run), each part folded by its own engine.
+
+        Counts and counter dicts add, per-query and per-run series
+        concatenate in part order, and the makespan is the latest
+        part's.  Overload-protection fields are not merged: sharded
+        runs reject overload protection.
+        """
+        job_durations: dict[int, float] = {}
+        class_responses: dict[str, list[float]] = {}
+        for part in parts:
+            job_durations.update(part.job_durations)
+            for cls_name, times in part.class_response_times.items():
+                class_responses.setdefault(cls_name, []).extend(times)
+        cache = sum_counters(part.cache for part in parts)
+        alpha_histories = [list(h) for part in parts for h in part.alpha_histories]
+        return cls(
+            scheduler_name=parts[0].scheduler_name,
+            n_queries=sum(part.n_queries for part in parts),
+            n_jobs=len(job_durations),
+            # Each part measures from the run's first submit, so the
+            # latest completion anywhere is the largest part makespan.
+            makespan=max((part.makespan for part in parts if part.n_queries), default=0.0),
+            response_times=np.concatenate([part.response_times for part in parts]),
+            job_durations=job_durations,
+            runs=[obs for part in parts for obs in part.runs],
+            alpha_history=alpha_histories[0] if alpha_histories else [],
+            alpha_histories=alpha_histories,
+            cache=cache,
+            disk=sum_counters(part.disk for part in parts),
+            exec=sum_counters(part.exec for part in parts),
+            forced_releases=sum(part.forced_releases for part in parts),
+            gating_overhead_ns=sum(part.gating_overhead_ns for part in parts),
+            cache_overhead_ns=int(cache.get("overhead_ns", 0)),
+            timeouts=sum(part.timeouts for part in parts),
+            retries=sum(part.retries for part in parts),
+            failovers=sum(part.failovers for part in parts),
+            aborted_jobs=sum(part.aborted_jobs for part in parts),
+            cancelled_queries=sum(part.cancelled_queries for part in parts),
+            faults=sum_counters(part.faults for part in parts),
+            class_response_times={k: class_responses[k] for k in sorted(class_responses)},
+        )
 
     # -- lossless serialization ---------------------------------------------
     def to_dict(self) -> dict[str, Any]:

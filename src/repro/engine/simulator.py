@@ -49,6 +49,7 @@ crash+resume — stay bit-identical for the same seed.
 from __future__ import annotations
 
 import heapq
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -62,7 +63,7 @@ from repro.core.contention import ContentionSchedulerBase
 from repro.engine.events import Event, EventKind
 from repro.engine.executor import BatchExecutor
 from repro.engine.faults import FaultInjector
-from repro.engine.results import RunResult
+from repro.engine.results import RunResult, sum_counters
 from repro.errors import (
     CoordinatorCrash,
     LivelockError,
@@ -134,6 +135,7 @@ class _Node:
         injector: Optional[FaultInjector],
         sanitizer: Optional[SimulationSanitizer] = None,
     ) -> None:
+        self.idx = idx
         self.scheduler = scheduler
         self.cache = BufferCache(config.cache.capacity_atoms, build_policy(config.cache))
         self.disk = DiskModel(config.cost, spec.n_atoms)
@@ -176,6 +178,10 @@ class Simulator:
         Maps a packed atom id to its owning nodes in failover
         preference order (primary first).  Defaults to the primary
         only, i.e. no failover targets.
+
+    ``nodes`` is indexed by global node id and ``owned_nodes`` lists
+    the nodes this engine runs: all of them here, one block in a
+    :class:`~repro.shard.ShardSimulator`, whose other slots are ``None``.
     """
 
     def __init__(
@@ -193,21 +199,26 @@ class Simulator:
         self.spec = trace.spec
         self.mapper = AtomMapper(self.spec)
         faults = self.config.faults
+        seeded_jobs = self._seed_jobs()
+        slots = self._node_slots(schedulers)
         # Guaranteed-dispatch floor: every JOB_SUBMIT plus both halves
         # of every scheduled node crash is dispatched unconditionally,
         # so a window-drawn coordinator crash clamped below this count
         # always fires (it cannot land past the end of a short trace).
-        guaranteed_events = len(trace.jobs) + 2 * len(faults.node_crashes)
+        guaranteed_events = len(seeded_jobs) + 2 * len(faults.node_crashes)
+        # Indexed by GLOBAL node id: executors pass their cluster-wide
+        # node index.
         self.injector = (
-            FaultInjector(faults, len(schedulers), guaranteed_events=guaranteed_events)
+            FaultInjector(faults, len(slots), guaranteed_events=guaranteed_events)
             if faults.enabled
             else None
         )
         self.sanitizer = SimulationSanitizer(self) if self.config.sanitize else None
-        self.nodes = [
-            _Node(i, s, self.spec, self.config, self.injector, self.sanitizer)
-            for i, s in enumerate(schedulers)
+        self.nodes: list[Optional[_Node]] = [
+            None if s is None else _Node(i, s, self.spec, self.config, self.injector, self.sanitizer)
+            for i, s in enumerate(slots)
         ]
+        self.owned_nodes: list[_Node] = [node for node in self.nodes if node is not None]
         self._node_of = node_of or _SingleNodeRouter()
         self._replicas_of = replicas_of or _PrimaryOnlyReplicas(self._node_of)
 
@@ -264,22 +275,22 @@ class Simulator:
         self._tick_armed = False
 
         self._job_index = {job.job_id: job for job in trace.jobs}
-        for job in trace.jobs:
+        for job in seeded_jobs:
             self._push(job.submit_time, EventKind.JOB_SUBMIT, job)
-        if self.overload is not None and trace.jobs:
+        if self.overload is not None and seeded_jobs:
             # First control tick coincides with the earliest submit;
             # OVERLOAD_TICK dispatches last at equal timestamps, so it
             # always observes settled queue state.
-            self._arm_tick(min(job.submit_time for job in trace.jobs))
+            self._arm_tick(min(job.submit_time for job in seeded_jobs))
         for node_idx, down_t, up_t in faults.node_crashes:
-            if not 0 <= int(node_idx) < len(self.nodes):
+            if not 0 <= int(node_idx) < len(self.nodes) or self.nodes[int(node_idx)] is None:
                 raise ValueError(
-                    f"crash schedule names node {node_idx} but the cluster has "
-                    f"{len(self.nodes)} nodes"
+                    f"crash schedule names node {node_idx}, which this engine does "
+                    f"not run (it runs nodes {[node.idx for node in self.owned_nodes]})"
                 )
             self._push(down_t, EventKind.NODE_DOWN, int(node_idx))
             self._push(up_t, EventKind.NODE_UP, int(node_idx))
-        self._recovery_times = sorted(up_t for _, _, up_t in faults.node_crashes)
+        self._recovery_times = self._recovery_schedule()
 
         # Crash-consistent checkpointing (DESIGN.md §8).  The manager is
         # deliberately NOT part of snapshot state (_capture_state skips
@@ -289,6 +300,23 @@ class Simulator:
             from repro.recovery.checkpoint import CheckpointManager
 
             self._checkpointer = CheckpointManager(self.config.checkpoint)
+
+    # ------------------------------------------------------------------
+    # Construction hooks
+    # ------------------------------------------------------------------
+    def _seed_jobs(self) -> Sequence[Job]:
+        """The jobs whose JOB_SUBMIT this engine schedules."""
+        return self.trace.jobs
+
+    def _node_slots(self, schedulers: Sequence[Scheduler]) -> list[Optional[Scheduler]]:
+        """One entry per cluster node: the scheduler of a node this
+        engine runs, ``None`` for a node run elsewhere."""
+        return list(schedulers)
+
+    def _recovery_schedule(self) -> list[float]:
+        """Node recovery instants, in order: a sub-query whose owners
+        are all down is deferred to the next one."""
+        return sorted(up_t for _, _, up_t in self.config.faults.node_crashes)
 
     # ------------------------------------------------------------------
     def _push(self, time_: float, kind: EventKind, payload: object) -> None:
@@ -318,15 +346,22 @@ class Simulator:
         loss), ``(None, False)`` when owners survive but all are down
         (defer until a recovery).
         """
-        candidates = self._replicas_of(atom_id)
         lost_everywhere = True
-        for idx in candidates:
-            if self.injector is not None and self.injector.is_lost(idx, atom_id):
+        for idx in self._replicas_of(atom_id):
+            if self._is_lost(idx, atom_id):
                 continue
             lost_everywhere = False
-            if self.nodes[idx].up:
+            if self._is_up(idx):
                 return idx, False
         return None, lost_everywhere
+
+    def _is_lost(self, node_idx: int, atom_id: int) -> bool:
+        """Is ``atom_id`` known unrecoverable on ``node_idx``?"""
+        return self.injector is not None and self.injector.is_lost(node_idx, atom_id)
+
+    def _is_up(self, node_idx: int) -> bool:
+        """May ``node_idx`` be handed work now?"""
+        return self.nodes[node_idx].up
 
     def _next_recovery_after(self, now: float) -> Optional[float]:
         for t in self._recovery_times:
@@ -353,7 +388,11 @@ class Simulator:
             self._requeues += 1
         else:
             self._failovers += 1
-        self.nodes[target].scheduler.readmit([(arrival, sq)], now)
+        self._readmit(target, sq, arrival, now)
+
+    def _readmit(self, node_idx: int, sq: SubQuery, arrival: float, now: float) -> None:
+        """Hand one re-routed sub-query to ``node_idx``'s scheduler."""
+        self.nodes[node_idx].scheduler.readmit([(arrival, sq)], now)
 
     def _defer(self, sq: SubQuery, arrival: float, now: float) -> None:
         """Every owner of the atom is down: park the sub-query until
@@ -421,7 +460,7 @@ class Simulator:
             if self.overload.admit_job(job, self._global_depth(), now) is not None:
                 return
         self._job_left[job.job_id] = job.n_queries
-        for node in self.nodes:
+        for node in self.owned_nodes:
             node.scheduler.on_job_submitted(job, now)
         if job.is_ordered:
             self._push(now, EventKind.QUERY_ARRIVAL, job.queries[0])
@@ -457,8 +496,10 @@ class Simulator:
         by_node: dict[int, list] = {}
         deferred: list[SubQuery] = []
         lost: bool = False
+        # No fault source anywhere: every atom is served by its primary.
+        static_routing = self.injector is None and not self._recovery_times
         for sq in subqueries:
-            if self.injector is None:
+            if static_routing:
                 by_node.setdefault(self._node_of(sq.atom_id), []).append(sq)
                 continue
             target, lost_everywhere = self._route(sq.atom_id)
@@ -470,12 +511,7 @@ class Simulator:
                 lost = True
             else:
                 deferred.append(sq)
-        # Every node hears every arrival (possibly with no local
-        # sub-queries) so per-node gating state advances even for
-        # queries whose data lives elsewhere — including down nodes,
-        # whose gating graphs must stay in sync for recovery.
-        for node_idx, node in enumerate(self.nodes):
-            node.scheduler.on_query_arrival(query, by_node.get(node_idx, []), now)
+        self._announce_arrival(query, by_node, now)
         for sq in deferred:
             self._defer(sq, now, now)
         if lost:
@@ -491,6 +527,17 @@ class Simulator:
         if deadline is not None:
             self._push(now + deadline, EventKind.QUERY_DEADLINE, query.query_id)
 
+    def _announce_arrival(
+        self, query: Query, by_node: dict[int, list], now: float
+    ) -> None:
+        """Tell every node about an arrival, with the sub-queries routed
+        to it.  Every node hears every arrival (possibly with no local
+        sub-queries) so per-node gating state advances even for queries
+        whose data lives elsewhere — including down nodes, whose gating
+        graphs must stay in sync for recovery."""
+        for node in self.owned_nodes:
+            node.scheduler.on_query_arrival(query, by_node.get(node.idx, []), now)
+
     def _global_depth(self) -> int:
         """Cluster-wide pending sub-query slots (queued, gated, and
         in-flight work of every admitted, incomplete query)."""
@@ -503,7 +550,7 @@ class Simulator:
         from the node's own pending set), so the loop terminates."""
         assert self.overload is not None
         bound = self.config.overload.max_queue_depth
-        for node in self.nodes:
+        for node in self.owned_nodes:
             while node.scheduler.queue_depth() > bound:
                 local = sorted({sq.query.query_id for sq in node.scheduler.iter_pending()})
                 victims = self.overload.rank_victims(local, now)
@@ -520,7 +567,13 @@ class Simulator:
             return  # the node crashed mid-batch; this work was re-routed
         node.busy = False
         node.inflight = None
-        failed_ids = {id(sq) for sq in failed}
+        self._apply_executed(batch, {id(sq) for sq in failed}, now)
+        for sq in failed:
+            self._reroute(sq, self._arrival.get(sq.query.query_id, now), now, from_node=node_idx)
+
+    def _apply_executed(self, batch: Batch, failed_ids: set[int], now: float) -> None:
+        """Count a finished batch's successful sub-queries toward their
+        queries, completing each query whose count reaches zero."""
         for _, subqueries in batch.atoms:
             for sq in subqueries:
                 if id(sq) in failed_ids:
@@ -533,31 +586,40 @@ class Simulator:
                     self.overload.on_subquery_done(qid)
                 if self._remaining[qid] == 0:
                     self._complete_query(sq.query, now)
-        for sq in failed:
-            self._reroute(sq, self._arrival.get(sq.query.query_id, now), now, from_node=node_idx)
 
     def _on_node_down(self, node_idx: int, now: float) -> None:
         node = self.nodes[node_idx]
         if not node.up:
             return
         node.up = False
-        node.epoch += 1
         self._node_downs += 1
-        evacuated: list[tuple[float, SubQuery]] = []
-        if node.inflight is not None:
-            # Abort the in-flight batch: its completion event is now
-            # stale (epoch mismatch) and its work must move.
-            for _, subqueries in node.inflight.atoms:
-                for sq in subqueries:
-                    qid = sq.query.query_id
-                    if qid in self._remaining:
-                        evacuated.append((self._arrival.get(qid, now), sq))
-        node.busy = False
-        node.inflight = None
+        evacuated = self._abort_inflight(node, now)
         node.disk.reset_locality()
         evacuated.extend(node.scheduler.evacuate(now))
         for arrival, sq in evacuated:
             self._reroute(sq, arrival, now, from_node=None)
+
+    def _abort_inflight(self, node: _Node, now: float) -> list[tuple[float, SubQuery]]:
+        """Abort ``node``'s running batch: bump its epoch so the batch's
+        BATCH_DONE arrives stale and is dropped, and return the batch's
+        sub-queries of live queries, with their arrival times, for
+        re-routing."""
+        node.epoch += 1
+        evacuated: list[tuple[float, SubQuery]] = []
+        if node.inflight is not None:
+            for _, subqueries in node.inflight.atoms:
+                for sq in subqueries:
+                    qid = sq.query.query_id
+                    if self._is_live(qid):
+                        evacuated.append((self._arrival.get(qid, now), sq))
+        node.busy = False
+        node.inflight = None
+        return evacuated
+
+    def _is_live(self, query_id: int) -> bool:
+        """Has ``query_id`` arrived without completing or being
+        cancelled (so its sub-queries still need executing)?"""
+        return query_id in self._remaining
 
     def _on_node_up(self, node_idx: int, now: float) -> None:
         node = self.nodes[node_idx]
@@ -595,7 +657,7 @@ class Simulator:
             if qid in self._remaining:
                 self.overload.note_shed("drain")
                 self._cancel_query(qid, now, reason="shed")
-        if any(n.busy for n in self.nodes) or any(
+        if any(n.busy for n in self.owned_nodes) or any(
             ev.kind is not EventKind.OVERLOAD_TICK for ev in self._heap
         ):
             self._arm_tick(now + self.config.overload.control_interval)
@@ -611,7 +673,7 @@ class Simulator:
         self._response_times.append(response)
         self._run_responses.append(response)
         self._completed += 1
-        for node in self.nodes:
+        for node in self.owned_nodes:
             node.scheduler.on_query_complete(query, now)
 
         job = self._job_of.pop(query.query_id)
@@ -652,7 +714,7 @@ class Simulator:
             self._data_loss_cancels += 1
         if self.overload is not None:
             self.overload.on_query_removed(query_id, remaining)
-        for node in self.nodes:
+        for node in self.owned_nodes:
             node.scheduler.cancel_query(query_id, now)
 
         job = self._job_of.pop(query_id)
@@ -662,7 +724,7 @@ class Simulator:
             # Later queries never arrive; de-gate them so partner
             # groups elsewhere are not held forever.
             for fq in job.queries[query.seq + 1 :]:
-                for node in self.nodes:
+                for node in self.owned_nodes:
                     node.scheduler.cancel_query(fq.query_id, now)
                 self._job_left[job.job_id] -= 1
                 self._aborted_unarrived += 1
@@ -679,7 +741,7 @@ class Simulator:
         self._runs.append(obs)
         self._run_start = now
         self._run_responses.clear()
-        for node in self.nodes:
+        for node in self.owned_nodes:
             node.scheduler.on_run_boundary(obs)
             node.cache.run_boundary()
 
@@ -687,7 +749,7 @@ class Simulator:
     # Main loop
     # ------------------------------------------------------------------
     def _start_batches(self) -> None:
-        for idx, node in enumerate(self.nodes):
+        for node in self.owned_nodes:
             if node.busy or not node.up:
                 continue
             batch = node.scheduler.next_batch(self.clock)
@@ -699,14 +761,14 @@ class Simulator:
             self._push(
                 self.clock + outcome.duration,
                 EventKind.BATCH_DONE,
-                (idx, node.epoch, batch, outcome.failed),
+                (node.idx, node.epoch, batch, outcome.failed),
             )
             # Work resumed after an idle stretch: make sure the
             # overload control loop is ticking again.
             self._arm_tick(self.clock + self.config.overload.control_interval)
 
     def _any_pending(self) -> bool:
-        return any(n.scheduler.has_pending() for n in self.nodes) or bool(self._remaining)
+        return any(n.scheduler.has_pending() for n in self.owned_nodes) or bool(self._remaining)
 
     def _diagnostics(self) -> dict:
         return {
@@ -714,12 +776,15 @@ class Simulator:
             "event_index": self.event_index,
             "rng_digest": self.injector.rng_digest() if self.injector is not None else None,
             "pending_queries": sorted(self._remaining),
-            "queue_depths": [n.scheduler.queue_depth() for n in self.nodes],
-            "busy_flags": [n.busy for n in self.nodes],
+            "queue_depths": [n.scheduler.queue_depth() for n in self.owned_nodes],
+            "busy_flags": [n.busy for n in self.owned_nodes],
         }
 
     def run(self) -> RunResult:
         """Replay the whole trace; returns the accumulated results.
+
+        One unbounded :meth:`run_window`, plus the idle fallback
+        (:meth:`force_release_pass`; nothing to release is livelock).
 
         Safe to call on a freshly constructed simulator or on one
         rebuilt by :meth:`restore` — snapshots are taken only at points
@@ -730,35 +795,14 @@ class Simulator:
             self._checkpointer.start(self)
         try:
             while True:
-                # Drain every event at the current instant before making
-                # scheduling decisions, so same-time arrivals can batch.
-                while self._heap and self._heap[0].time <= self.clock:
-                    self._dispatch(heapq.heappop(self._heap))
-                self._start_batches()
-                if self._heap:
-                    ev = heapq.heappop(self._heap)
-                    self.clock = ev.time
-                    if self.clock > self.config.max_sim_time:
-                        raise SimTimeExceededError(
-                            f"virtual clock exceeded max_sim_time={self.config.max_sim_time}",
-                            **self._diagnostics(),
-                        )
-                    self._dispatch(ev)
-                    continue
-                if self._any_pending():
-                    released = False
-                    for node in self.nodes:
-                        if node.up:
-                            released |= node.scheduler.force_release(self.clock)
-                    if not released:
-                        raise LivelockError(
-                            "livelock: pending queries but no schedulable work",
-                            **self._diagnostics(),
-                        )
-                    self.forced_releases += 1
-                    continue
-                break
-            return self._result()
+                self.run_window(math.inf)
+                if not self._any_pending():
+                    return self._result()
+                if not self.force_release_pass():
+                    raise LivelockError(
+                        "livelock: pending queries but no schedulable work",
+                        **self._diagnostics(),
+                    )
         finally:
             if self._checkpointer is not None:
                 self._checkpointer.flush()
@@ -766,16 +810,20 @@ class Simulator:
     def run_window(self, horizon: float) -> None:
         """Process every pending event strictly before ``horizon``.
 
-        The conservative superstep primitive of the sharded control
-        plane (:mod:`repro.shard`): because cross-shard messages travel
+        The engine's one event loop: drain every event at the current
+        instant before making scheduling decisions (so same-time
+        arrivals can batch), start batches on idle nodes, then advance
+        the clock to the next event.  It returns when the heap is empty
+        or its next event lies at or past ``horizon``.  :meth:`run` calls
+        it with an infinite horizon.
+
+        The sharded control plane (:mod:`repro.shard`) calls it as its
+        conservative superstep: because cross-shard messages travel
         with a positive virtual latency, every event in ``[clock,
         horizon)`` can be processed without hearing from peer shards —
         anything they send during the same window delivers at or after
-        ``horizon``.  The loop body mirrors :meth:`run` exactly (drain
-        same-time events, start batches, advance), minus global
-        concerns that only the control plane can decide: livelock
-        detection and forced releases need cluster-wide knowledge, so
-        an idle shard simply returns.
+        ``horizon``.  Livelock needs cluster-wide knowledge, so there
+        the control plane decides when to call :meth:`force_release_pass`.
         """
         while True:
             while self._heap and self._heap[0].time <= self.clock:
@@ -791,6 +839,19 @@ class Simulator:
                     **self._diagnostics(),
                 )
             self._dispatch(ev)
+
+    def force_release_pass(self) -> bool:
+        """Idle fallback: ask every live node's scheduler to
+        force-release gated work.  Returns whether anything was
+        released (the caller resumes the event loop, which starts the
+        released batches)."""
+        released = False
+        for node in self.owned_nodes:
+            if node.up:
+                released |= node.scheduler.force_release(self.clock)
+        if released:
+            self.forced_releases += 1
+        return released
 
     def next_event_time(self) -> Optional[float]:
         """Earliest pending local event time (None when idle) — the
@@ -832,32 +893,21 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _result(self) -> RunResult:
+        """Fold this engine's state and its nodes' counters into a
+        :class:`RunResult` (a shard domain's partial result; the
+        control plane merges the domains')."""
         responses = np.asarray(self._response_times, dtype=np.float64)
         arr_min = min((j.submit_time for j in self.trace.jobs), default=0.0)
         # First submit to last completion: trailing idle work (e.g. a
         # final speculative prefetch batch) must not inflate makespan.
         makespan = self._last_completion - arr_min if self._response_times else 0.0
-        cache: dict = {}
-        disk: dict = {}
-        execs: dict = {}
-        gating_ns = 0
-        sched_forced = 0
-        alpha_histories: list[list[float]] = []
-        for node in self.nodes:
-            for key, val in node.cache.stats.snapshot().items():
-                if key != "hit_ratio":
-                    cache[key] = cache.get(key, 0) + val
-            for key, val in node.disk.stats.snapshot().items():
-                disk[key] = disk.get(key, 0) + val
-            for key, val in node.executor.stats.snapshot().items():
-                execs[key] = execs.get(key, 0) + val
-            gating_ns += getattr(node.scheduler, "gating_overhead_ns", 0)
-            sched_forced += getattr(node.scheduler, "forced_releases", 0)
-            history = getattr(node.scheduler, "alpha_history", None)
-            if history:
-                alpha_histories.append(list(history))
-        accesses = cache.get("hits", 0) + cache.get("misses", 0)
-        cache["hit_ratio"] = cache.get("hits", 0) / accesses if accesses else 0.0
+        nodes = self.owned_nodes
+        cache = sum_counters(node.cache.stats.snapshot() for node in nodes)
+        alpha_histories = [
+            list(history)
+            for node in nodes
+            if (history := getattr(node.scheduler, "alpha_history", None))
+        ]
         faults = self.injector.snapshot() if self.injector is not None else {}
         faults.update(
             node_downs=self._node_downs,
@@ -868,7 +918,7 @@ class Simulator:
         )
         overload = self.overload.snapshot(self.clock) if self.overload is not None else {}
         return RunResult(
-            scheduler_name=self.nodes[0].scheduler.name,
+            scheduler_name=nodes[0].scheduler.name,
             n_queries=len(responses),
             n_jobs=len(self._job_durations),
             makespan=makespan,
@@ -878,10 +928,13 @@ class Simulator:
             alpha_history=alpha_histories[0] if alpha_histories else [],
             alpha_histories=alpha_histories,
             cache=cache,
-            disk=disk,
-            exec=execs,
-            forced_releases=self.forced_releases + sched_forced,
-            gating_overhead_ns=gating_ns,
+            disk=sum_counters(node.disk.stats.snapshot() for node in nodes),
+            exec=sum_counters(node.executor.stats.snapshot() for node in nodes),
+            forced_releases=self.forced_releases
+            + sum(getattr(node.scheduler, "forced_releases", 0) for node in nodes),
+            gating_overhead_ns=sum(
+                getattr(node.scheduler, "gating_overhead_ns", 0) for node in nodes
+            ),
             cache_overhead_ns=cache.get("overhead_ns", 0),
             timeouts=self._timeouts,
             retries=self.injector.stats.retries if self.injector is not None else 0,

@@ -84,7 +84,7 @@ def _snapshot_meta(sim: "Simulator") -> Dict[str, Any]:
         "event_index": sim.event_index,
         "clock": sim.clock,
         "clock_hex": float(sim.clock).hex(),
-        "scheduler": sim.nodes[0].scheduler.name,
+        "scheduler": sim.owned_nodes[0].scheduler.name,
         "n_nodes": len(sim.nodes),
         "completed_queries": sim._completed,
         "rng_digest": injector.rng_digest() if injector is not None else None,
@@ -94,24 +94,25 @@ def _snapshot_meta(sim: "Simulator") -> Dict[str, Any]:
 def verify_restored_state(sim: "Simulator") -> None:
     """Audit a freshly restored simulator before it resumes.
 
-    Re-runs the simulation sanitizer's structural checks wholesale:
-    :meth:`~repro.core.queues.WorkloadQueues.check_consistency` on
-    every node's workload queues, and the precedence graph's
+    Re-runs the simulation sanitizer's structural checks wholesale on
+    every node the engine runs:
+    :meth:`~repro.core.queues.WorkloadQueues.check_consistency` on its
+    workload queues, and its precedence graph's
     :meth:`~repro.core.gating.PrecedenceGraph.validate` (which includes
     the gating-number fixed-point check) plus acyclicity.  Raises
     :class:`~repro.errors.RecoveryError` listing every problem found.
     """
     problems: List[str] = []
-    for idx, node in enumerate(sim.nodes):
+    for node in sim.owned_nodes:
         queues = getattr(node.scheduler, "queues", None)
         if queues is not None:
-            problems.extend(f"node {idx}: {p}" for p in queues.check_consistency())
+            problems.extend(f"node {node.idx}: {p}" for p in queues.check_consistency())
         gating = getattr(node.scheduler, "_gating", None)
         if gating is not None:
             graph = gating.graph
-            problems.extend(f"node {idx}: {p}" for p in graph.validate())
+            problems.extend(f"node {node.idx}: {p}" for p in graph.validate())
             if not graph.is_acyclic():
-                problems.append(f"node {idx}: contracted gating-group graph has a cycle")
+                problems.append(f"node {node.idx}: contracted gating-group graph has a cycle")
     if problems:
         raise RecoveryError(
             "restored state failed the consistency audit: " + "; ".join(problems),

@@ -41,7 +41,9 @@ from repro.errors import RecoveryError
 __all__ = ["SNAPSHOT_FORMAT_VERSION", "SNAPSHOT_MAGIC", "encode_snapshot", "decode_snapshot"]
 
 #: Bump whenever the snapshot state layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: nodes carry their global index, peer-shard node slots are
+#: ``None`` and the simulator lists the nodes it runs in ``owned_nodes``.
+SNAPSHOT_FORMAT_VERSION = 2
 
 SNAPSHOT_MAGIC = b"JAWSCKPT"
 

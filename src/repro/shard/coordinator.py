@@ -1,16 +1,15 @@
 """One coordinator shard: the two-level JAWS loop over a node block.
 
 A :class:`ShardSimulator` is a :class:`~repro.engine.simulator.Simulator`
-whose ``nodes`` list is full cluster length, but only the contiguous
-block assigned by the :class:`~repro.shard.topology.ShardTopology` is
-*real* — peer shards' slots hold inert :class:`_RemoteNode` stubs
-(permanently ``busy``, so the batch starter skips them, yet ``up``, so
-the router still names them as targets).  Everything the base engine
-does locally — batching, caching, fault retries, gating — runs
-unchanged on the real block; every interaction that crosses a block
-boundary becomes a typed :class:`~repro.shard.messages.ShardMessage`
-in the outbox, which the control plane moves between shards on the
-virtual-time bus.
+that runs only the contiguous block of nodes the
+:class:`~repro.shard.topology.ShardTopology` assigns it: ``nodes`` is
+still indexed by global node id, but peer shards' slots are ``None``
+and the engine walks ``owned_nodes``.  The base constructor, event
+loop and result fold run unchanged; everything the base engine does
+locally — batching, caching, fault retries, gating — runs on the
+block, and every interaction that crosses a block boundary becomes a
+typed :class:`~repro.shard.messages.ShardMessage` in the outbox, which
+the control plane moves between shards on the virtual-time bus.
 
 The *home-shard protocol*: a job's home shard (``job_id % n_shards``)
 owns its whole lifecycle — JOB_SUBMIT, query arrivals, the
@@ -28,111 +27,36 @@ created = applied + cancelled-residual identity over these counters.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import EngineConfig
-from repro.core.base import Scheduler
+from repro.core.base import Batch, Scheduler
 from repro.engine.events import Event, EventKind
-from repro.engine.faults import FaultInjector
-from repro.engine.simulator import Simulator, _Node
+from repro.engine.simulator import Simulator
 from repro.errors import ShardProtocolError
-from repro.grid.atoms import AtomMapper
 from repro.shard.messages import ShardMessage
 from repro.shard.topology import ShardTopology
 from repro.workload.job import Job
-from repro.workload.query import Query, SubQuery, preprocess_query
+from repro.workload.query import Query, SubQuery
 from repro.workload.trace import Trace
 
 __all__ = ["ShardSimulator"]
 
 
-class _NullScheduler:
-    """Inert scheduler for a remote node slot.
-
-    Hears nothing, holds nothing, schedules nothing — remote gating
-    and queue state live in the owning shard's domain.  Module-level
-    (picklable) and stateless, so snapshots stay cheap.
-    """
-
-    name = "remote"
-
-    def on_job_submitted(self, job: Job, now: float) -> None:
-        pass
-
-    def on_query_arrival(self, query: Query, subqueries: Sequence[SubQuery], now: float) -> None:
-        pass
-
-    def next_batch(self, now: float) -> None:  # pragma: no cover - busy stubs never pull
-        return None
-
-    def has_pending(self) -> bool:
-        return False
-
-    def on_query_complete(self, query: Query, now: float) -> None:
-        pass
-
-    def on_run_boundary(self, obs: object) -> None:
-        pass
-
-    def queue_depth(self) -> int:
-        return 0
-
-    def evacuate(self, now: float) -> list:  # pragma: no cover - stubs never crash
-        return []
-
-    def readmit(self, items: Sequence[Tuple[float, SubQuery]], now: float) -> None:
-        raise ShardProtocolError(
-            "readmit on a remote node stub: cross-shard re-admission must "
-            "travel as a 'route' message, never as a local scheduler call"
-        )
-
-    def cancel_query(self, query_id: int, now: float) -> None:
-        pass
-
-    def iter_pending(self) -> list:  # pragma: no cover - overload is off when sharded
-        return []
-
-    def force_release(self, now: float) -> bool:
-        return False
-
-
-class _NullCache:
-    """Stub cache for a remote node slot (run-boundary hook only)."""
-
-    def run_boundary(self) -> None:
-        pass
-
-
-class _RemoteNode:
-    """Placeholder for a node owned by a peer shard.
-
-    ``busy=True`` keeps :meth:`Simulator._start_batches` away;
-    ``up=True`` keeps :meth:`Simulator._route` willing to name it as a
-    routing target (down-ness of remote nodes is decided from the
-    static crash schedule instead, see
-    :meth:`ShardSimulator._remote_down`).
-    """
-
-    def __init__(self) -> None:
-        self.scheduler = _NullScheduler()
-        self.cache = _NullCache()
-        self.busy = True
-        self.up = True
-        self.epoch = 0
-        self.inflight = None
-
-
 class ShardSimulator(Simulator):
     """The engine for one shard *domain*.
 
-    Deliberately re-implements ``__init__`` rather than calling the
-    base constructor: the node list mixes real nodes with remote stubs,
-    only home jobs are seeded, and the per-domain fault config has
-    already been narrowed (local node crashes only, no coordinator
-    crash, no overload/sanitizer — cluster-level invariants are checked
-    by the control plane and the conservation counters instead).  Every
-    base attribute is initialised here; the event handlers below
-    override exactly the points where work crosses a shard boundary.
+    Built by the base constructor through its hooks: only home jobs are
+    seeded (:meth:`_seed_jobs`), only the shard's block of nodes is
+    built (:meth:`_node_slots` leaves peer slots ``None``), and deferral
+    waits on recoveries anywhere in the cluster
+    (:meth:`_recovery_schedule`).  The per-domain engine config has
+    already been narrowed by :func:`~repro.shard.run_sharded` (local
+    node crashes only, no coordinator crash, no overload/sanitizer —
+    cluster-level invariants are checked by the control plane and the
+    conservation counters instead).  The methods below override exactly
+    the points where work crosses a shard boundary and call the base
+    for everything else.
     """
 
     def __init__(
@@ -142,107 +66,14 @@ class ShardSimulator(Simulator):
         config: EngineConfig,
         topology: ShardTopology,
         shard_id: int,
-        node_of,
-        replicas_of,
+        node_of: Callable[[int], int],
+        replicas_of: Callable[[int], Sequence[int]],
         full_node_crashes: Tuple[Tuple[int, float, float], ...],
         message_delay: float,
     ) -> None:
-        local_idx = topology.nodes_of_shard(shard_id)
-        if len(schedulers) != len(local_idx):
-            raise ValueError(
-                f"shard {shard_id} owns {len(local_idx)} node(s) but got "
-                f"{len(schedulers)} scheduler(s)"
-            )
-        self.trace = trace
-        self.config = config
-        self.spec = trace.spec
-        self.mapper = AtomMapper(self.spec)
-        faults = config.faults
-        home_jobs = [
-            job for job in trace.jobs
-            if topology.home_shard_of_job(job.job_id) == shard_id
-        ]
-        guaranteed_events = len(home_jobs) + 2 * len(faults.node_crashes)
-        # One injector per domain, indexed by GLOBAL node id: executors
-        # pass their cluster-wide node index, and the per-domain seed is
-        # already derived (run_sharded), so peer domains never share a
-        # fault stream.
-        self.injector = (
-            FaultInjector(faults, topology.n_nodes, guaranteed_events=guaranteed_events)
-            if faults.enabled
-            else None
-        )
-        self.sanitizer = None
-        sched_iter = iter(schedulers)
-        self.nodes = [
-            _Node(i, next(sched_iter), self.spec, config, self.injector, None)
-            if i in local_idx
-            else _RemoteNode()
-            for i in range(topology.n_nodes)
-        ]
-        self._node_of = node_of
-        self._replicas_of = replicas_of
-
-        self._heap: List[Event] = []
-        self._seq = 0
-        self.clock = 0.0
-        self.event_index = 0
-        self._last_completion = 0.0
-
-        self._arrival: Dict[int, float] = {}
-        self._remaining: Dict[int, int] = {}
-        self._live_query: Dict[int, Query] = {}
-        self._job_of: Dict[int, Job] = {}
-        self._job_left: Dict[int, int] = {}
-        self._job_first_arrival: Dict[int, float] = {}
-        self._impaired_jobs: Set[int] = set()
-
-        self._response_times: List[float] = []
-        self._job_durations: Dict[int, float] = {}
-        self._completed = 0
-        self._runs: List = []
-        self._run_start = 0.0
-        self._run_responses: List[float] = []
-        self.forced_releases = 0
-
-        self._timeouts = 0
-        self._failovers = 0
-        self._requeues = 0
-        self._data_loss_cancels = 0
-        self._cancelled = 0
-        self._aborted_jobs = 0
-        self._aborted_unarrived = 0
-        self._node_downs = 0
-        self._deferred = 0
-
-        self.overload = None
-        self._admitted = 0
-        self._shed = 0
-        self._class_responses: Dict[str, List[float]] = {}
-        self._tick_armed = False
-
-        self._job_index = {job.job_id: job for job in trace.jobs}
-        for job in home_jobs:
-            self._push(job.submit_time, EventKind.JOB_SUBMIT, job)
-        local_set = frozenset(local_idx)
-        for node_idx, down_t, up_t in faults.node_crashes:
-            if int(node_idx) not in local_set:
-                raise ValueError(
-                    f"shard {shard_id} got a crash schedule for node "
-                    f"{node_idx}, outside its block {local_idx}"
-                )
-            self._push(down_t, EventKind.NODE_DOWN, int(node_idx))
-            self._push(up_t, EventKind.NODE_UP, int(node_idx))
-        # Deferral parks work until the next recovery anywhere in the
-        # CLUSTER — a home shard may be waiting on a remote node.
-        self._recovery_times = sorted(up_t for _, _, up_t in full_node_crashes)
-        self._checkpointer = None
-
-        # ---- shard-specific state ------------------------------------
+        # Shard fields first: the base constructor's hooks read them.
         self.shard_id = shard_id
         self._topology = topology
-        self._local_idx: Tuple[int, ...] = tuple(local_idx)
-        self._local_set = local_set
         self._full_node_crashes = tuple(
             (int(n), float(d), float(u)) for n, d, u in full_node_crashes
         )
@@ -263,6 +94,33 @@ class ShardSimulator(Simulator):
         self._sq_exec_dropped = 0  # executed here for an already-dead query
         self._late_done_dropped = 0  # done-counts arriving after cancel
         self._msgs_sent = 0
+        super().__init__(trace, schedulers, config, node_of=node_of, replicas_of=replicas_of)
+
+    # ------------------------------------------------------------------
+    # Construction hooks
+    # ------------------------------------------------------------------
+    def _seed_jobs(self) -> Sequence[Job]:
+        return [
+            job
+            for job in self.trace.jobs
+            if self._topology.home_shard_of_job(job.job_id) == self.shard_id
+        ]
+
+    def _node_slots(self, schedulers: Sequence[Scheduler]) -> List[Optional[Scheduler]]:
+        block = self._topology.nodes_of_shard(self.shard_id)
+        if len(schedulers) != len(block):
+            raise ValueError(
+                f"shard {self.shard_id} owns {len(block)} node(s) but got "
+                f"{len(schedulers)} scheduler(s)"
+            )
+        slots: List[Optional[Scheduler]] = [None] * self._topology.n_nodes
+        for idx, scheduler in zip(block, schedulers):
+            slots[idx] = scheduler
+        return slots
+
+    def _recovery_schedule(self) -> List[float]:
+        # A home shard may be waiting on a remote node's recovery.
+        return sorted(up_t for _, _, up_t in self._full_node_crashes)
 
     # ------------------------------------------------------------------
     # Control-plane surface
@@ -280,15 +138,11 @@ class ShardSimulator(Simulator):
         return log
 
     def force_release_pass(self) -> bool:
-        """Cluster-idle fallback: ask every live local scheduler to
-        force-release gated work (the control plane decides livelock)."""
-        released = False
-        for idx in self._local_idx:
-            node = self.nodes[idx]
-            if node.up:
-                released |= node.scheduler.force_release(self.clock)
+        """The base idle fallback, plus starting the released batches at
+        once: the control plane picks its next window from the domains'
+        event times, so the released work must be on the heap."""
+        released = super().force_release_pass()
         if released:
-            self.forced_releases += 1
             self._start_batches()
         return released
 
@@ -307,18 +161,9 @@ class ShardSimulator(Simulator):
         self._lease_epoch += 1
         self.clock = max(self.clock, resume_time)
         evacuated: List[Tuple[float, SubQuery]] = []
-        for idx in self._local_idx:
-            node = self.nodes[idx]
-            if node.inflight is None:
-                continue
-            node.epoch += 1
-            for _, subqueries in node.inflight.atoms:
-                for sq in subqueries:
-                    qid = sq.query.query_id
-                    if qid in self._remaining or qid in self._foreign:
-                        evacuated.append((self._arrival.get(qid, resume_time), sq))
-            node.busy = False
-            node.inflight = None
+        for node in self.owned_nodes:
+            if node.inflight is not None:
+                evacuated.extend(self._abort_inflight(node, resume_time))
         if self._heap and self._heap[0].time < resume_time:
             self._heap = [
                 Event(max(ev.time, resume_time), ev.kind, ev.seq, ev.payload)
@@ -358,66 +203,52 @@ class ShardSimulator(Simulator):
     # ------------------------------------------------------------------
     # Routing across the block boundary
     # ------------------------------------------------------------------
-    def _remote_down(self, node_idx: int, now: float) -> bool:
-        """Is a REMOTE node inside a scheduled crash window at ``now``?
+    def _is_live(self, query_id: int) -> bool:
+        # A foreign query's sub-queries run here too; its home shard
+        # re-routes them when they come back as ``fail``.
+        return super()._is_live(query_id) or query_id in self._foreign
+
+    def _is_lost(self, node_idx: int, atom_id: int) -> bool:
+        return super()._is_lost(node_idx, atom_id) or (node_idx, atom_id) in self._remote_lost
+
+    def _is_up(self, node_idx: int) -> bool:
+        """A local node's own flag; a REMOTE node is up unless it is
+        inside a scheduled crash window.
 
         The full crash schedule is static config every shard holds, so
         no state synchronisation is needed to route around planned
         downtime — and a sub-query that races a crash boundary anyway
         is bounced back by the executing shard as a ``fail``.
         """
-        for n, down_t, up_t in self._full_node_crashes:
-            if n == node_idx and down_t <= now < up_t:
-                return True
-        return False
-
-    def _route(self, atom_id: int) -> Tuple[Optional[int], bool]:
-        candidates = self._replicas_of(atom_id)
-        lost_everywhere = True
-        for idx in candidates:
-            if self.injector is not None and self.injector.is_lost(idx, atom_id):
-                continue
-            if (idx, atom_id) in self._remote_lost:
-                continue
-            lost_everywhere = False
-            if idx in self._local_set:
-                if self.nodes[idx].up:
-                    return idx, False
-            elif not self._remote_down(idx, self.clock):
-                return idx, False
-        return None, lost_everywhere
+        node = self.nodes[node_idx]
+        if node is not None:
+            return node.up
+        return not any(
+            n == node_idx and down_t <= self.clock < up_t
+            for n, down_t, up_t in self._full_node_crashes
+        )
 
     def _reroute(self, sq: SubQuery, arrival: float, now: float, from_node: Optional[int]) -> None:
-        qid = sq.query.query_id
-        home = self._foreign.get(qid)
-        if home is not None:
-            # Not our query: report the failure (plus any loss facts we
-            # learned locally) to the home shard, which owns routing.
-            lost_pairs = tuple(
-                (idx, sq.atom_id)
-                for idx in self._local_idx
-                if self.injector is not None and self.injector.is_lost(idx, sq.atom_id)
-            )
-            self._send(home, "fail", (sq, arrival, from_node, lost_pairs), now)
+        home = self._foreign.get(sq.query.query_id)
+        if home is None:
+            super()._reroute(sq, arrival, now, from_node)
             return
-        if qid not in self._remaining:
-            return  # query already completed or cancelled
-        target, lost_everywhere = self._route(sq.atom_id)
-        if target is None:
-            if lost_everywhere:
-                self._cancel_query(qid, now, reason="data_loss")
-            else:
-                self._defer(sq, arrival, now)
-            return
-        if from_node is not None and target == from_node:
-            self._requeues += 1
-        else:
-            self._failovers += 1
-        if target in self._local_set:
-            self.nodes[target].scheduler.readmit([(arrival, sq)], now)
+        # Not our query: report the failure (plus any loss facts we
+        # learned locally) to the home shard, which owns routing.
+        lost_locally = super()._is_lost
+        lost_pairs = tuple(
+            (node.idx, sq.atom_id)
+            for node in self.owned_nodes
+            if lost_locally(node.idx, sq.atom_id)
+        )
+        self._send(home, "fail", (sq, arrival, from_node, lost_pairs), now)
+
+    def _readmit(self, node_idx: int, sq: SubQuery, arrival: float, now: float) -> None:
+        if self.nodes[node_idx] is not None:
+            super()._readmit(node_idx, sq, arrival, now)
         else:
             self._send(
-                self._topology.shard_of_node(target), "route", (target, sq, arrival), now
+                self._topology.shard_of_node(node_idx), "route", (node_idx, sq, arrival), now
             )
 
     # ------------------------------------------------------------------
@@ -436,31 +267,13 @@ class ShardSimulator(Simulator):
         # lower sequence number, FIFO per sender-pair).
         self._broadcast("job", (job,), now)
 
-    def _on_query_arrival(self, query: Query, now: float) -> None:
-        qid = query.query_id
-        self._arrival[qid] = now
-        self._job_first_arrival.setdefault(query.job_id, now)
-        self._live_query[qid] = query
-        self._job_of[qid] = self._job_index[query.job_id]
-        subqueries = preprocess_query(query, self.mapper)
-        self._remaining[qid] = len(subqueries)
-        self._admitted += 1
-        self._sq_created += len(subqueries)
-        by_node: Dict[int, List[SubQuery]] = {}
-        deferred: List[SubQuery] = []
-        lost = False
-        for sq in subqueries:
-            target, lost_everywhere = self._route(sq.atom_id)
-            if target is not None:
-                if target != self._node_of(sq.atom_id):
-                    self._failovers += 1
-                by_node.setdefault(target, []).append(sq)
-            elif lost_everywhere:
-                lost = True
-            else:
-                deferred.append(sq)
-        for idx in self._local_idx:
-            self.nodes[idx].scheduler.on_query_arrival(query, by_node.get(idx, []), now)
+    def _announce_arrival(
+        self, query: Query, by_node: Dict[int, List[SubQuery]], now: float
+    ) -> None:
+        super()._announce_arrival(query, by_node, now)
+        # The base set the outstanding count from the sub-queries it
+        # built; nothing has been applied or cancelled yet.
+        self._sq_created += self._remaining[query.query_id]
         # Every peer domain hears every arrival (even with no local
         # sub-queries) so remote gating state stays in lockstep.
         for domain in range(self._topology.n_shards):
@@ -472,14 +285,6 @@ class ShardSimulator(Simulator):
                 if idx in by_node
             )
             self._send(domain, "arrival", (query, routed), now)
-        for sq in deferred:
-            self._defer(sq, now, now)
-        if lost:
-            self._cancel_query(qid, now, reason="data_loss")
-            return
-        deadline = self.config.faults.query_deadline
-        if deadline is not None:
-            self._push(now + deadline, EventKind.QUERY_DEADLINE, qid)
 
     def _apply_done(self, qid: int, count: int, query: Query, now: float) -> None:
         """Apply ``count`` sub-query completions to the home-side
@@ -502,14 +307,10 @@ class ShardSimulator(Simulator):
         if self._remaining[qid] == 0:
             self._complete_query(query, now)
 
-    def _on_batch_done(self, node_idx: int, epoch: int, batch, failed: list, now: float) -> None:
-        node = self.nodes[node_idx]
-        if epoch != node.epoch:
-            return  # node (or shard) crashed mid-batch; work was re-routed
-        node.busy = False
-        node.inflight = None
-        failed_ids = {id(sq) for sq in failed}
-        done_for_home: Dict[int, Dict[int, Tuple[int, Query]]] = {}
+    def _apply_executed(self, batch: Batch, failed_ids: Set[int], now: float) -> None:
+        """Apply home-query completions here; batch the rest into one
+        ``done`` message per (home domain, query)."""
+        done_for_home: Dict[int, Dict[int, int]] = {}
         for _, subqueries in batch.atoms:
             for sq in subqueries:
                 if id(sq) in failed_ids:
@@ -520,18 +321,12 @@ class ShardSimulator(Simulator):
                     self._apply_done(qid, 1, sq.query, now)
                 elif qid in self._foreign:
                     per_home = done_for_home.setdefault(self._foreign[qid], {})
-                    count, _ = per_home.get(qid, (0, sq.query))
-                    per_home[qid] = (count + 1, sq.query)
+                    per_home[qid] = per_home.get(qid, 0) + 1
                 else:
                     self._sq_exec_dropped += 1  # cancelled while running
         for home in sorted(done_for_home):
             for qid in sorted(done_for_home[home]):
-                count, _query = done_for_home[home][qid]
-                self._send(home, "done", (qid, count), now)
-        for sq in failed:
-            self._reroute(
-                sq, self._arrival.get(sq.query.query_id, now), now, from_node=node_idx
-            )
+                self._send(home, "done", (qid, done_for_home[home][qid]), now)
 
     def _complete_query(self, query: Query, now: float) -> None:
         super()._complete_query(query, now)
@@ -557,16 +352,15 @@ class ShardSimulator(Simulator):
         kind = msg.kind
         if kind == "job":
             (job,) = msg.payload
-            for idx in self._local_idx:
-                self.nodes[idx].scheduler.on_job_submitted(job, now)
+            for node in self.owned_nodes:
+                node.scheduler.on_job_submitted(job, now)
         elif kind == "arrival":
             query, routed = msg.payload
             self._foreign[query.query_id] = msg.src_domain
             by_node = {idx: list(sqs) for idx, sqs in routed}
             bounced: List[SubQuery] = []
-            for idx in self._local_idx:
-                node = self.nodes[idx]
-                sqs = by_node.get(idx, [])
+            for node in self.owned_nodes:
+                sqs = by_node.get(node.idx, [])
                 if sqs and not node.up:
                     # The home shard routed here around a crash boundary
                     # it could not observe; bounce the work back.
@@ -589,28 +383,23 @@ class ShardSimulator(Simulator):
             self._reroute(sq, self._arrival.get(qid, arrival_hint), now, from_node)
         elif kind == "route":
             target, sq, arrival = msg.payload
-            qid = sq.query.query_id
-            if qid not in self._foreign:
+            if sq.query.query_id not in self._foreign:
                 return  # cancelled while the re-admission was in flight
-            node = self.nodes[target]
-            if not node.up:
+            if not self.nodes[target].up:
                 self._reroute(sq, arrival, now, from_node=None)
             else:
-                node.scheduler.readmit([(arrival, sq)], now)
+                self._readmit(target, sq, arrival, now)
         elif kind == "complete":
             (query,) = msg.payload
             self._foreign.pop(query.query_id, None)
-            for idx in self._local_idx:
-                self.nodes[idx].scheduler.on_query_complete(query, now)
+            for node in self.owned_nodes:
+                node.scheduler.on_query_complete(query, now)
         elif kind == "cancel":
             qid, extra = msg.payload
-            self._foreign.pop(qid, None)
-            for idx in self._local_idx:
-                self.nodes[idx].scheduler.cancel_query(qid, now)
-            for fq in extra:
-                self._foreign.pop(fq, None)
-                for idx in self._local_idx:
-                    self.nodes[idx].scheduler.cancel_query(fq, now)
+            for cancelled in (qid, *extra):
+                self._foreign.pop(cancelled, None)
+                for node in self.owned_nodes:
+                    node.scheduler.cancel_query(cancelled, now)
         else:  # pragma: no cover - MESSAGE_KINDS is validated at build
             raise ShardProtocolError(
                 f"undeliverable shard message kind {kind!r}",
@@ -620,57 +409,13 @@ class ShardSimulator(Simulator):
             )
 
     # ------------------------------------------------------------------
-    # Result fragment
+    # Shard-only result extras
     # ------------------------------------------------------------------
     def partial(self) -> dict:
-        """This domain's slice of the cluster result, merged by the
-        control plane into one :class:`~repro.engine.results.RunResult`
-        (mirrors :meth:`Simulator._result`, restricted to real nodes)."""
-        cache: Dict[str, float] = {}
-        disk: Dict[str, float] = {}
-        execs: Dict[str, float] = {}
-        gating_ns = 0
-        sched_forced = 0
-        alpha_histories: List[List[float]] = []
-        for idx in self._local_idx:
-            node = self.nodes[idx]
-            for key, val in node.cache.stats.snapshot().items():
-                if key != "hit_ratio":
-                    cache[key] = cache.get(key, 0) + val
-            for key, val in node.disk.stats.snapshot().items():
-                disk[key] = disk.get(key, 0) + val
-            for key, val in node.executor.stats.snapshot().items():
-                execs[key] = execs.get(key, 0) + val
-            gating_ns += getattr(node.scheduler, "gating_overhead_ns", 0)
-            sched_forced += getattr(node.scheduler, "forced_releases", 0)
-            history = getattr(node.scheduler, "alpha_history", None)
-            if history:
-                alpha_histories.append(list(history))
+        """What this domain adds to its :meth:`_result` for the control
+        plane: the cross-shard conservation counters, the event index
+        and the lease epoch."""
         return {
-            "scheduler_name": self.nodes[self._local_idx[0]].scheduler.name,
-            "response_times": list(self._response_times),
-            "job_durations": dict(self._job_durations),
-            "runs": list(self._runs),
-            "alpha_histories": alpha_histories,
-            "cache": cache,
-            "disk": disk,
-            "exec": execs,
-            "forced_releases": self.forced_releases + sched_forced,
-            "gating_overhead_ns": gating_ns,
-            "timeouts": self._timeouts,
-            "retries": self.injector.stats.retries if self.injector is not None else 0,
-            "failovers": self._failovers,
-            "aborted_jobs": self._aborted_jobs,
-            "cancelled": self._cancelled,
-            "completed": self._completed,
-            "last_completion": self._last_completion,
-            "class_responses": {k: list(v) for k, v in self._class_responses.items()},
-            "faults": self.injector.snapshot() if self.injector is not None else {},
-            "node_downs": self._node_downs,
-            "requeues": self._requeues,
-            "deferred": self._deferred,
-            "data_loss_cancels": self._data_loss_cancels,
-            "aborted_unarrived": self._aborted_unarrived,
             "event_index": self.event_index,
             "lease_epoch": self._lease_epoch,
             "conservation": {

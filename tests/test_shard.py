@@ -9,10 +9,12 @@ changes).
 """
 
 import dataclasses
+import struct
 
 import pytest
 
 from repro.cluster.cluster import run_cluster
+from repro.cluster.partition import MortonRangePartitioner
 from repro.config import (
     CacheConfig,
     CheckpointConfig,
@@ -30,10 +32,13 @@ from repro.errors import (
 )
 from repro.fuzz.oracles import check_conservation, results_equivalent
 from repro.grid.dataset import DatasetSpec
+from repro.engine.runner import make_scheduler
 from repro.parallel.pool import RunSpec
+from repro.recovery.codec import SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC, decode_snapshot
 from repro.shard import (
     OwnershipTable,
     ShardMessage,
+    ShardSimulator,
     ShardTopology,
     latest_manifest,
     resume_cluster,
@@ -231,6 +236,24 @@ class TestFailover:
         assert_conserved(a.shard_stats)
         assert results_equivalent(a.result, b.result) is None
 
+    def test_node_crash_reroutes_foreign_work_in_flight(self):
+        # Node 1 (shard 0) crashes while its batch holds sub-queries of
+        # queries homed on shard 1; they must go home as "fail" and be
+        # re-routed, not vanish and livelock the cluster.
+        trace = small_trace(seed=0)
+        faults = FaultConfig(seed=0, node_crashes=((1, 35.0, 60.0),), replication=2)
+        out = run_sharded(
+            trace,
+            "jaws2",
+            4,
+            shards=ShardConfig(n_shards=2),
+            engine=engine(),
+            faults=faults,
+        )
+        assert out.result.n_queries == trace.n_queries
+        assert out.result.faults["node_downs"] == 1
+        assert_conserved(out.shard_stats)
+
     def test_permanent_loss_conserves_residual(self):
         trace = small_trace(seed=6)
         faults = FaultConfig(seed=3, permanent_loss_rate=0.01)
@@ -309,6 +332,76 @@ class TestRecovery:
         from repro.errors import RecoveryError
 
         with pytest.raises(RecoveryError):
+            resume_cluster(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# One domain: a Simulator that runs a block of the cluster's nodes
+# ---------------------------------------------------------------------------
+def build_domain(shard_id, node_crashes=()):
+    trace = small_trace(seed=1)
+    topology = ShardTopology(n_nodes=4, n_shards=2)
+    partitioner = MortonRangePartitioner(trace.spec, 4)
+    config = engine(faults=FaultConfig(node_crashes=node_crashes))
+    return ShardSimulator(
+        trace,
+        [make_scheduler("jaws2", trace, config) for _ in topology.nodes_of_shard(shard_id)],
+        config,
+        topology,
+        shard_id,
+        node_of=partitioner.node_of,
+        replicas_of=partitioner.replicas_of,
+        full_node_crashes=node_crashes,
+        message_delay=0.01,
+    )
+
+
+def halt_at_first_barrier(directory):
+    with pytest.raises(CoordinatorCrash):
+        run_sharded(
+            small_trace(seed=1),
+            "jaws2",
+            4,
+            shards=ShardConfig(
+                n_shards=2,
+                checkpoint_dir=str(directory),
+                barrier_every_events=500,
+                halt_after_barrier=1,
+            ),
+            engine=engine(),
+        )
+
+
+class TestDomain:
+    def test_runs_only_its_block(self):
+        domain = build_domain(1)
+        assert [node.idx for node in domain.owned_nodes] == [2, 3]
+        assert domain.nodes[0] is None and domain.nodes[1] is None
+        diagnostics = domain._diagnostics()
+        assert diagnostics["busy_flags"] == [False, False]
+        assert len(diagnostics["queue_depths"]) == 2
+
+    def test_crash_outside_its_block_rejected(self):
+        assert build_domain(0, node_crashes=((1, 10.0, 20.0),))
+        with pytest.raises(ValueError, match="names node 3"):
+            build_domain(0, node_crashes=((3, 10.0, 20.0),))
+
+    def test_barrier_snapshots_name_the_domain_scheduler(self, tmp_path):
+        halt_at_first_barrier(tmp_path)
+        for d in range(2):
+            newest = sorted((tmp_path / f"shard-{d}").glob("snapshot-*.ckpt"))[-1]
+            meta, _state = decode_snapshot(newest.read_bytes())
+            assert meta["scheduler"] == "JAWS_2", d
+
+    def test_older_barrier_format_refused_typed(self, tmp_path):
+        from repro.errors import RecoveryError
+
+        halt_at_first_barrier(tmp_path)
+        manifest = latest_manifest(tmp_path)
+        blob = bytearray(manifest.read_bytes())
+        struct.pack_into(">I", blob, len(SNAPSHOT_MAGIC), SNAPSHOT_FORMAT_VERSION - 1)
+        manifest.write_bytes(bytes(blob))
+        with pytest.raises(RecoveryError, match="version mismatch"):
             resume_cluster(tmp_path)
 
 
