@@ -12,8 +12,9 @@ def test_table1_cache_policies(benchmark, scale):
     print(table1.render(data))
     rows = data["rows"]
     # Paper ordering: URC > SLRU > LRU-K on hit ratio; URC fastest per
-    # query; SLRU bookkeeping cost well below URC's.
+    # query; SLRU bookkeeping (atoms re-ranked per query) well below
+    # URC's.
     assert rows["urc"]["cache_hit"] > rows["lruk"]["cache_hit"]
     assert rows["slru"]["cache_hit"] >= rows["lruk"]["cache_hit"] * 0.98
     assert rows["urc"]["sec_per_qry"] < rows["lruk"]["sec_per_qry"]
-    assert rows["urc"]["overhead_ms"] > rows["slru"]["overhead_ms"]
+    assert rows["urc"]["rank_updates_per_qry"] > rows["slru"]["rank_updates_per_qry"]

@@ -2,9 +2,9 @@
 
 Inline ``# jawslint: disable=…`` comments suit single-line exceptions;
 the interprocedural rules (D100–D300) flag *properties of symbols* —
-a method whose overhead profiling legitimately reads the wall clock, a
-curated snapshot exclusion — where scattering per-line pragmas across
-many lines of one method obscures the (single) decision.  The baseline
+a confined watchdog clock reachable from worker code, a curated
+snapshot exclusion — where scattering per-line pragmas across many
+lines of one method obscures the (single) decision.  The baseline
 ledger records those decisions in one reviewable, checked-in file:
 
 .. code-block:: json

@@ -26,7 +26,13 @@ class CachePolicy(ABC):
       (hits) and immediately after ``on_insert`` for misses;
     * ``choose_victim`` is only called when the cache is full, and must
       return a currently resident atom id.
+
+    ``rank_updates`` counts atoms whose eviction rank the policy
+    recomputed: a deterministic measure of Table I's bookkeeping
+    overhead, left at 0 by policies that keep no separate ranking.
     """
+
+    rank_updates: int = 0
 
     @abstractmethod
     def on_insert(self, atom_id: int, now: float) -> None:

@@ -11,7 +11,8 @@ clustered inertial particles) survive full-time-step scans.
 
 "Implementing this policy incurs almost no additional overhead"
 (Table I: < 1 ms/query) — promotion work is O(residents·log) once per
-run, amortized over the run's queries.
+run, amortized over the run's queries.  Each boundary ranks the run's
+accessed atoms and adds that count to ``rank_updates``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class SLRUPolicy(CachePolicy):
     def on_run_boundary(self) -> None:
         if not self._run_counts:
             return
+        self.rank_updates += len(self._run_counts)
         resident = [
             (count, atom_id)
             for atom_id, count in self._run_counts.items()

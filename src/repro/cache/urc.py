@@ -17,7 +17,8 @@ The scheduler installs ``set_utility_fn`` (a key function returning
 ``invalidate_utilities`` whenever queue state changes, mirroring the
 paper's observation that URC "must update the ranks of all atoms in the
 corresponding time step" after each query/time step — which is exactly
-why its measured overhead (7 ms/query in Table I) exceeds SLRU's.
+why its overhead (7 ms/query in Table I) exceeds SLRU's.  Each refresh
+re-ranks every resident atom and adds that count to ``rank_updates``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class URCPolicy(CachePolicy):
         assert fn is not None
         self._ranks = {atom_id: fn(atom_id) for atom_id in self._resident}
         self._ranks_valid = True
+        self.rank_updates += len(self._resident)
 
     def choose_victim(self) -> int:
         if not self._resident:

@@ -250,8 +250,8 @@ class FaultInjector:
         whose config armed a crash but whose result says
         ``crash_effective: False`` exercised nothing — the soak-level
         assertion this flag exists for.  Lifecycle metadata, not
-        simulation output: bit-identity comparisons exclude it, exactly
-        like the wall-clock overhead counters.
+        simulation output: resume bit-identity comparisons exclude it,
+        and nothing else.
         """
         out = self.stats.snapshot()
         out["degraded_nodes"] = sum(self.degraded)

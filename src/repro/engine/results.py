@@ -56,8 +56,6 @@ class RunResult:
         Snapshot dicts from the storage stack (summed over nodes).
     forced_releases:
         Gated queries released by the liveness valve (should be 0).
-    gating_overhead_ns / cache_overhead_ns:
-        Measured wall-clock bookkeeping cost (Table I's overhead).
     alpha_histories:
         Per-node α traces for adaptive schedulers (``alpha_history`` is
         the first node's, preserving the single-node shape).
@@ -97,8 +95,6 @@ class RunResult:
     disk: dict = field(default_factory=dict)
     exec: dict = field(default_factory=dict)
     forced_releases: int = 0
-    gating_overhead_ns: int = 0
-    cache_overhead_ns: int = 0
     timeouts: int = 0
     retries: int = 0
     failovers: int = 0
@@ -185,11 +181,6 @@ class RunResult:
         offered += self.rejected_queries
         return (offered - self.rejected_queries) / offered if offered else 1.0
 
-    @property
-    def cache_overhead_ms_per_query(self) -> float:
-        """Measured cache-policy bookkeeping per query, milliseconds."""
-        return self.cache_overhead_ns / 1e6 / self.n_queries if self.n_queries else 0.0
-
     def summary(self) -> dict[str, float]:
         """Flat dict for experiment tables."""
         return {
@@ -242,7 +233,6 @@ class RunResult:
             job_durations.update(part.job_durations)
             for cls_name, times in part.class_response_times.items():
                 class_responses.setdefault(cls_name, []).extend(times)
-        cache = sum_counters(part.cache for part in parts)
         alpha_histories = [list(h) for part in parts for h in part.alpha_histories]
         return cls(
             scheduler_name=parts[0].scheduler_name,
@@ -256,12 +246,10 @@ class RunResult:
             runs=[obs for part in parts for obs in part.runs],
             alpha_history=alpha_histories[0] if alpha_histories else [],
             alpha_histories=alpha_histories,
-            cache=cache,
+            cache=sum_counters(part.cache for part in parts),
             disk=sum_counters(part.disk for part in parts),
             exec=sum_counters(part.exec for part in parts),
             forced_releases=sum(part.forced_releases for part in parts),
-            gating_overhead_ns=sum(part.gating_overhead_ns for part in parts),
-            cache_overhead_ns=int(cache.get("overhead_ns", 0)),
             timeouts=sum(part.timeouts for part in parts),
             retries=sum(part.retries for part in parts),
             failovers=sum(part.failovers for part in parts),
@@ -302,8 +290,6 @@ class RunResult:
             "disk": dict(self.disk),
             "exec": dict(self.exec),
             "forced_releases": self.forced_releases,
-            "gating_overhead_ns": self.gating_overhead_ns,
-            "cache_overhead_ns": self.cache_overhead_ns,
             "timeouts": self.timeouts,
             "retries": self.retries,
             "failovers": self.failovers,
@@ -346,8 +332,6 @@ class RunResult:
             disk=dict(data["disk"]),
             exec=dict(data["exec"]),
             forced_releases=int(data["forced_releases"]),
-            gating_overhead_ns=int(data["gating_overhead_ns"]),
-            cache_overhead_ns=int(data["cache_overhead_ns"]),
             timeouts=int(data["timeouts"]),
             retries=int(data["retries"]),
             failovers=int(data["failovers"]),

@@ -902,7 +902,6 @@ class Simulator:
         # final speculative prefetch batch) must not inflate makespan.
         makespan = self._last_completion - arr_min if self._response_times else 0.0
         nodes = self.owned_nodes
-        cache = sum_counters(node.cache.stats.snapshot() for node in nodes)
         alpha_histories = [
             list(history)
             for node in nodes
@@ -927,15 +926,11 @@ class Simulator:
             runs=list(self._runs),
             alpha_history=alpha_histories[0] if alpha_histories else [],
             alpha_histories=alpha_histories,
-            cache=cache,
+            cache=sum_counters(node.cache.stats.snapshot() for node in nodes),
             disk=sum_counters(node.disk.stats.snapshot() for node in nodes),
             exec=sum_counters(node.executor.stats.snapshot() for node in nodes),
             forced_releases=self.forced_releases
             + sum(getattr(node.scheduler, "forced_releases", 0) for node in nodes),
-            gating_overhead_ns=sum(
-                getattr(node.scheduler, "gating_overhead_ns", 0) for node in nodes
-            ),
-            cache_overhead_ns=cache.get("overhead_ns", 0),
             timeouts=self._timeouts,
             retries=self.injector.stats.retries if self.injector is not None else 0,
             failovers=self._failovers,

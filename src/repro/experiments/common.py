@@ -136,9 +136,11 @@ def sweep_supervisor() -> Optional[SupervisorConfig]:
 def sweep_run_many(specs: Sequence[RunSpec], jobs: int = 1) -> List[RunResult]:
     """Run an experiment sweep's specs under the supervised pool.
 
-    The one fan-out entry point every figure/table module uses: spec
-    labels ride along to failure records, and :func:`sweep_supervisor`
-    (the ``REPRO_TASK_TIMEOUT`` environment knob) arms the watchdog
-    uniformly across fig10/fig11/fig12/table1 and the ablations.
+    The fan-out entry point of the figure modules: spec labels ride
+    along to failure records, and :func:`sweep_supervisor` (the
+    ``REPRO_TASK_TIMEOUT`` environment knob) arms the watchdog
+    uniformly across fig10/fig11/fig12 and the ablations.  Table I,
+    whose rows read each run's cache policy, passes the same
+    supervisor to ``map_many`` with its own worker.
     """
     return run_many(specs, jobs=jobs, supervisor=sweep_supervisor())

@@ -8,7 +8,12 @@ from repro.cache.base import available_policies, make_policy
 from repro.cache.lruk import LRUKPolicy
 from repro.cache.slru import SLRUPolicy
 from repro.cache.urc import URCPolicy
+from repro.config import CacheConfig, EngineConfig
+from repro.experiments import table1
+from repro.grid.dataset import DatasetSpec
+from repro.parallel import RunSpec
 from repro.storage.buffer import BufferCache
+from repro.workload.generator import WorkloadParams, generate_trace
 
 
 class TestRegistry:
@@ -123,6 +128,20 @@ class TestSLRU:
         cache.run_boundary()  # no accesses since; should be a no-op
         assert 1 in cache
 
+    def test_rank_updates_count_run_accesses_per_boundary(self):
+        policy = SLRUPolicy(capacity=10)
+        cache = BufferCache(10, policy)
+        for a in (1, 2, 3, 2, 2):
+            cache.access(a, 0.0)
+        assert policy.rank_updates == 0  # accesses alone rank nothing
+        cache.run_boundary()  # ranks the run's 3 distinct atoms
+        assert policy.rank_updates == 3
+        cache.run_boundary()  # empty run: nothing to rank
+        assert policy.rank_updates == 3
+        cache.access(4, 1.0)
+        cache.run_boundary()
+        assert policy.rank_updates == 4
+
 
 class TestURC:
     def test_lru_fallback_without_utility(self):
@@ -168,6 +187,55 @@ class TestURC:
     def test_victim_on_empty_raises(self):
         with pytest.raises(RuntimeError):
             URCPolicy().choose_victim()
+
+    def test_rank_updates_count_residents_per_refresh(self):
+        policy = URCPolicy()
+        policy.set_utility_fn(lambda a: (float(a), 0.0))
+        cache = BufferCache(3, policy)
+        for a in (1, 2, 3):
+            cache.access(a, float(a))
+        assert policy.rank_updates == 0  # no victim chosen yet
+        cache.access(4, 4.0)  # full: one refresh over the 3 residents
+        assert policy.rank_updates == 3
+        policy.choose_victim()  # the insert of 4 staled the ranks
+        assert policy.rank_updates == 6
+        cache.access(2, 5.0)  # a hit keeps ranks valid
+        policy.choose_victim()
+        policy.choose_victim()
+        assert policy.rank_updates == 6
+        policy.invalidate_utilities()
+        policy.choose_victim()
+        assert policy.rank_updates == 9
+
+    def test_lru_fallback_ranks_nothing(self):
+        policy = URCPolicy()
+        cache = BufferCache(2, policy)
+        for a in range(5):
+            cache.access(a, float(a))
+        assert policy.rank_updates == 0
+
+
+def test_lruk_ranks_nothing():
+    policy = LRUKPolicy()
+    cache = BufferCache(2, policy)
+    for a in range(5):
+        cache.access(a, float(a))
+    assert policy.rank_updates == 0
+
+
+def test_table1_overhead_ordering_urc_above_slru():
+    """Table I's overhead column on a small trace: URC re-ranks every
+    resident atom per refresh, so it out-counts SLRU per query."""
+    trace = generate_trace(
+        DatasetSpec.small(n_timesteps=6, atoms_per_axis=4),
+        WorkloadParams(n_jobs=15, span=120.0, seed=0),
+    )
+    rows = {}
+    for name in ("slru", "urc"):
+        eng = EngineConfig(cache=CacheConfig(capacity_atoms=32, policy=name), run_length=10)
+        rows[name] = table1._policy_row(RunSpec(trace, "jaws2", eng))
+    slru, urc = (rows[name]["rank_updates_per_qry"] for name in ("slru", "urc"))
+    assert 0 < slru < urc
 
 
 class TestPolicyInvariantsProperty:

@@ -4,11 +4,9 @@ Same trace + same seeds ⇒ bit-identical :class:`RunResult`,
 field-for-field, with faults off and on — and independent of
 ``PYTHONHASHSEED`` (checked in fresh subprocesses), since string
 hashing is the one stdlib source of per-process iteration-order
-variation the engine could accidentally depend on.
-
-Wall-clock overhead profiling counters (``gating_overhead_ns``,
-``cache_overhead_ns``, ``cache["overhead_ns"]``) are the documented
-exception: they measure real time by design and are excluded here.
+variation the engine could accidentally depend on.  No field is
+excluded: a run reads no wall clock, so the whole result is a pure
+function of its inputs.
 """
 
 import dataclasses
@@ -29,8 +27,6 @@ from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
-WALL_CLOCK_FIELDS = frozenset({"gating_overhead_ns", "cache_overhead_ns"})
-
 
 def small_trace(seed=0, n_jobs=15):
     return generate_trace(SPEC, WorkloadParams(n_jobs=n_jobs, span=120.0, seed=seed))
@@ -46,21 +42,16 @@ def engine(**kwargs):
 
 
 def result_fields(result):
-    """``field name -> comparable value`` with wall-clock profiling
-    stripped (those fields measure real time by design) and the
+    """``field name -> comparable value`` with the
     ``faults["crash_effective"]`` lifecycle flag stripped (a resumed run
     records that its crash fired; the uninterrupted same-seed run never
     armed one — metadata about the run's lifecycle, not simulation
     output)."""
     out = {}
     for f in dataclasses.fields(result):
-        if f.name in WALL_CLOCK_FIELDS:
-            continue
         value = getattr(result, f.name)
         if isinstance(value, np.ndarray):
             out[f.name] = (value.shape, str(value.dtype), value.tobytes())
-        elif f.name == "cache":
-            out[f.name] = {k: v for k, v in value.items() if k != "overhead_ns"}
         elif f.name == "faults":
             out[f.name] = {k: v for k, v in value.items() if k != "crash_effective"}
         else:
@@ -131,15 +122,10 @@ _DIGEST_SCRIPT = textwrap.dedent(
     result = run_trace(trace, "jaws2", eng)
     h = hashlib.sha256()
     for f in sorted(dataclasses.fields(result), key=lambda f: f.name):
-        if f.name in ("gating_overhead_ns", "cache_overhead_ns"):
-            continue
         value = getattr(result, f.name)
         if isinstance(value, np.ndarray):
             h.update(f.name.encode())
             h.update(value.tobytes())
-        elif f.name == "cache":
-            slim = {k: v for k, v in value.items() if k != "overhead_ns"}
-            h.update((f.name + repr(sorted(slim.items()))).encode())
         else:
             h.update((f.name + repr(value)).encode())
     sys.stdout.write(h.hexdigest())

@@ -27,10 +27,6 @@ from repro.workload.generator import WorkloadParams, generate_trace
 
 SPEC = DatasetSpec.small(n_timesteps=6, atoms_per_axis=4)
 
-#: Wall-clock profiling fields — the only RunResult content allowed to
-#: differ between two otherwise identical runs (DESIGN.md §7).
-WALL_CLOCK_FIELDS = frozenset({"gating_overhead_ns", "cache_overhead_ns"})
-
 
 def small_trace(seed=0, n_jobs=15):
     return generate_trace(SPEC, WorkloadParams(n_jobs=n_jobs, span=120.0, seed=seed))
@@ -46,16 +42,12 @@ def engine(**kwargs):
 
 
 def result_digest(result):
-    """RunResult as comparable data, wall-clock profiling excluded."""
+    """RunResult as comparable data, every field included."""
     out = {}
     for f in dataclasses.fields(result):
-        if f.name in WALL_CLOCK_FIELDS:
-            continue
         value = getattr(result, f.name)
         if isinstance(value, np.ndarray):
             out[f.name] = (value.shape, str(value.dtype), value.tobytes())
-        elif f.name == "cache":
-            out[f.name] = {k: v for k, v in value.items() if k != "overhead_ns"}
         else:
             out[f.name] = repr(value)
     return out

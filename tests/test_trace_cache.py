@@ -75,12 +75,7 @@ def test_cached_trace_produces_identical_run(tmp_path):
     cached_generate_trace(SPEC, PARAMS, cache_dir=tmp_path)  # warm
     hit = cached_generate_trace(SPEC, PARAMS, cache_dir=tmp_path)
     fresh = generate_trace(SPEC, PARAMS)
-    a = run_trace(hit, "jaws2").to_dict()
-    b = run_trace(fresh, "jaws2").to_dict()
-    for key in ("gating_overhead_ns", "cache_overhead_ns"):
-        a.pop(key), b.pop(key)
-    a["cache"].pop("overhead_ns"), b["cache"].pop("overhead_ns")
-    assert a == b
+    assert run_trace(hit, "jaws2").to_dict() == run_trace(fresh, "jaws2").to_dict()
 
 
 def test_speedup_applied_on_both_paths(tmp_path):
