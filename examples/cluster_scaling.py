@@ -25,7 +25,7 @@ def main() -> None:
     print(f"{'nodes':>5} {'qps':>8} {'mean rt':>9} {'imbalance':>10}  per-node atoms executed")
     base = None
     for n_nodes in (1, 2, 4, 8):
-        out = run_cluster(trace, "jaws2", n_nodes, engine)
+        out = run_cluster(trace, "jaws2", n_nodes, engine=engine)
         base = base or out.result.throughput_qps
         print(
             f"{n_nodes:5d} {out.result.throughput_qps:8.3f} "

@@ -16,7 +16,7 @@ pins).
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import DatasetSpec, FaultConfig, WorkloadParams, generate_trace
+from repro import DatasetSpec, EngineConfig, FaultConfig, WorkloadParams, generate_trace
 from repro.cluster import run_cluster
 
 N_NODES = 4
@@ -50,13 +50,13 @@ def main() -> None:
         replication=2,
         node_crashes=((1, 40.0, 160.0),),
     )
-    faulty = run_cluster(trace, "jaws2", N_NODES, faults=faults).result
+    faulty = run_cluster(trace, "jaws2", N_NODES, engine=EngineConfig(faults=faults)).result
     show("faulty", faulty)
 
     # Same faults plus a deadline: queries not done within the budget
     # are cancelled everywhere and their ordered jobs aborted.
     deadline = faults.with_(query_deadline=30.0)
-    bounded = run_cluster(trace, "jaws2", N_NODES, faults=deadline).result
+    bounded = run_cluster(trace, "jaws2", N_NODES, engine=EngineConfig(faults=deadline)).result
     show("deadline", bounded)
 
     slowdown = clean.throughput_qps / faulty.throughput_qps if faulty.throughput_qps else 0.0
@@ -78,9 +78,9 @@ def main() -> None:
     # than share-nothing execution.
     print(f"\n{'fault rate':>10} {'jaws2 qps':>10} {'noshare qps':>12}")
     for rate in (0.0, 0.02, 0.05, 0.10):
-        sweep = FaultConfig(seed=11, transient_fault_rate=rate) if rate else None
-        jaws = run_cluster(trace, "jaws2", N_NODES, faults=sweep).result
-        noshare = run_cluster(trace, "noshare", N_NODES, faults=sweep).result
+        sweep = EngineConfig(faults=FaultConfig(seed=11, transient_fault_rate=rate))
+        jaws = run_cluster(trace, "jaws2", N_NODES, engine=sweep).result
+        noshare = run_cluster(trace, "noshare", N_NODES, engine=sweep).result
         print(f"{rate:>10.2f} {jaws.throughput_qps:>10.3f} {noshare.throughput_qps:>12.3f}")
 
 

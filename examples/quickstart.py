@@ -31,19 +31,18 @@ def main() -> None:
 
     engine = EngineConfig()
     print(f"\n{'scheduler':<12} {'qps':>7} {'mean rt':>9} {'disk reads':>11} {'cache hit':>10}")
-    baseline = None
+    results = {}
     for name in ("noshare", "liferaft2", "jaws2"):
-        result = run_trace(trace, name, engine)
-        baseline = baseline or result.throughput_qps
+        result = results[name] = run_trace(trace, name, engine)
         print(
             f"{name:<12} {result.throughput_qps:7.3f} "
             f"{result.mean_response_time:8.1f}s {result.disk['reads']:11,} "
             f"{result.cache_hit_ratio:10.2f}"
         )
-    result = run_trace(trace, "jaws2", engine)
+    speedup = results["jaws2"].throughput_qps / results["noshare"].throughput_qps
     print(
         f"\nJAWS speedup over NoShare: "
-        f"{result.throughput_qps / baseline:.2f}x  (paper: ~2.6x at high contention)"
+        f"{speedup:.2f}x  (paper: ~2.6x at high contention)"
     )
 
 

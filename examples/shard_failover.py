@@ -4,8 +4,8 @@
 Runs one workload four ways and proves the sharded machinery keeps its
 promises:
 
-1. single-coordinator reference (``n_shards=1`` is byte-identical to
-   the cluster engine);
+1. single-coordinator reference (``n_shards=1`` runs the plain
+   cluster engine);
 2. two coordinator shards, fault-free;
 3. two shards with shard 1 crashing mid-run — shard 0 adopts its
    Morton ranges at a bumped lease epoch and every query still
@@ -29,8 +29,9 @@ from repro import (
     WorkloadParams,
     generate_trace,
 )
+from repro.cluster import run_cluster
 from repro.config import ShardConfig
-from repro.shard import resume_cluster, run_sharded
+from repro.shard import resume_cluster
 
 N_NODES = 4
 SCHEDULER = "jaws2"
@@ -48,7 +49,7 @@ def build_inputs():
 def describe(tag, out):
     stats = out.shard_stats
     print(
-        f"{tag:<28} shards={out.n_shards} completed={out.result.n_queries} "
+        f"{tag:<28} shards={stats['n_shards']} completed={out.result.n_queries} "
         f"makespan={out.result.makespan:.3f}s crashes={stats['shard_crashes']} "
         f"epoch_bumps={stats['epoch_bumps']} stale_retries={stats['stale_retries']}"
     )
@@ -57,17 +58,17 @@ def describe(tag, out):
 def main():
     trace, engine = build_inputs()
 
-    single = run_sharded(
+    single = run_cluster(
         trace, SCHEDULER, N_NODES, shards=ShardConfig(n_shards=1), engine=engine
     )
     describe("single coordinator", single)
 
-    sharded = run_sharded(
+    sharded = run_cluster(
         trace, SCHEDULER, N_NODES, shards=ShardConfig(n_shards=2), engine=engine
     )
     describe("2 shards, fault-free", sharded)
 
-    crashed = run_sharded(
+    crashed = run_cluster(
         trace,
         SCHEDULER,
         N_NODES,
@@ -86,7 +87,7 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="repro-shard-ck-") as ckdir:
         try:
-            run_sharded(
+            run_cluster(
                 trace,
                 SCHEDULER,
                 N_NODES,

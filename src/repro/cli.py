@@ -142,7 +142,7 @@ def _overload_config(args: argparse.Namespace) -> OverloadConfig:
         raise SystemExit(f"invalid overload configuration: {exc}") from None
 
 
-def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
+def _fault_config(args: argparse.Namespace) -> FaultConfig:
     crashes = []
     for spec in args.crash:
         parts = spec.split(":")
@@ -164,12 +164,14 @@ def _fault_config(args: argparse.Namespace) -> Optional[FaultConfig]:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid fault configuration: {exc}") from None
-    if args.replication > max(args.nodes, 1):
+    if args.nodes < 1:
+        raise SystemExit(f"--nodes must be >= 1, got {args.nodes}")
+    if args.replication > args.nodes:
         raise SystemExit(
             f"--replication {args.replication} needs at least that many nodes "
             f"(got --nodes {args.nodes})"
         )
-    return faults if faults.enabled or args.replication > 1 else None
+    return faults
 
 
 def _shard_config(args: argparse.Namespace) -> Optional[ShardConfig]:
@@ -232,8 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="replay a trace under one scheduler")
     run_p.add_argument("--trace", required=True)
     run_p.add_argument(
-        "--scheduler", action="append", choices=SCHEDULER_NAMES, default=None,
-        help="scheduler to run (repeatable; multiple fan out across --jobs workers)",
+        "--scheduler", action="extend", nargs="+", choices=SCHEDULER_NAMES,
+        default=None,
+        help="scheduler(s) to run (repeatable; multiple fan out across --jobs workers)",
     )
     run_p.add_argument("--cache", choices=["lru", "lruk", "slru", "urc"], default=None)
     run_p.add_argument("--speedup", type=float, default=1.0)
@@ -305,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--nodes", type=int, default=1, help="cluster size")
     cmp_p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parallel evaluation (single-node, fault-free runs)",
+        help="worker processes for parallel evaluation (bit-identical to serial)",
     )
     cmp_p.add_argument(
         "--salvage", action="store_true",
@@ -512,37 +515,29 @@ def _run_one(
     trace: Trace,
     name: str,
     engine: EngineConfig,
-    faults: Optional[FaultConfig],
     nodes: int,
-    shards: Optional[ShardConfig] = None,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
+    shards: Optional[ShardConfig],
+    jobs: int,
+    supervisor: Optional[SupervisorConfig],
 ) -> RunResult:
-    if shards is not None:
-        from repro.shard import run_sharded
-
-        sharded = run_sharded(
-            trace,
-            name,
-            max(nodes, 1),
-            shards=shards,
-            engine=engine,
-            faults=faults,
-            jobs=jobs,
-            supervisor=supervisor,
+    out = run_cluster(
+        trace,
+        name,
+        nodes,
+        engine=engine,
+        shards=shards,
+        jobs=jobs,
+        supervisor=supervisor,
+    )
+    stats = out.shard_stats
+    if stats["n_shards"] > 1:
+        print(
+            f"  shards: {stats['n_shards']} "
+            f"(crashes {stats['shard_crashes']}, "
+            f"epoch bumps {stats['epoch_bumps']}, "
+            f"stale retries {stats['stale_retries']})"
         )
-        if shards.sharded:
-            stats = sharded.shard_stats
-            print(
-                f"  shards: {stats['n_shards']} "
-                f"(crashes {stats['shard_crashes']}, "
-                f"epoch bumps {stats['epoch_bumps']}, "
-                f"stale retries {stats['stale_retries']})"
-            )
-        return sharded.result
-    if nodes > 1 or faults is not None:
-        return run_cluster(trace, name, max(nodes, 1), engine=engine, faults=faults).result
-    return run_trace(trace, name, engine)
+    return out.result
 
 
 def _print_result(result: RunResult, degraded: bool, protected: bool = False) -> None:
@@ -577,8 +572,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     if args.speedup != 1.0:
         trace = trace.rescale(args.speedup)
-    faults = _fault_config(args)
-    engine = _run_engine(args)
+    engine = _run_engine(args).with_(faults=_fault_config(args))
+    degraded = engine.faults.enabled
     if args.overload:
         engine = dataclasses.replace(engine, overload=_overload_config(args))
     shards = _shard_config(args)
@@ -589,25 +584,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if shards is not None and shards.sharded:
         # Sharded runs checkpoint through cluster barriers; the engine's
-        # own checkpoint config must stay off (run_sharded enforces it).
+        # own checkpoint config must stay off (run_cluster enforces it).
         engine = dataclasses.replace(engine, checkpoint=CheckpointConfig())
     schedulers = args.scheduler or ["jaws2"]
-    if len(schedulers) > 1:
-        if args.nodes > 1 or faults is not None or shards is not None:
-            raise SystemExit(
-                "multiple --scheduler values fan out via the single-node "
-                "runner; drop --nodes/--shards/fault flags or run them "
-                "one at a time"
+    if len(schedulers) > 1 and getattr(args, "checkpoint_dir", None):
+        raise SystemExit(
+            "--checkpoint-dir holds one run's recovery state; run "
+            "the schedulers one at a time"
+        )
+    supervisor = _supervisor_from_args(args)
+    try:
+        if len(schedulers) == 1:
+            result = _run_one(
+                trace, schedulers[0], engine, args.nodes, shards, args.jobs, supervisor
             )
-        specs = [RunSpec(trace, name, engine, label=name) for name in schedulers]
-        supervisor = _supervisor_from_args(args)
+            _print_result(result, degraded, protected=args.overload)
+            return 0
+        specs = [
+            RunSpec(trace, name, engine, label=name, n_nodes=args.nodes, shards=shards)
+            for name in schedulers
+        ]
         if args.salvage:
             failed = 0
             outcomes = run_many_outcomes(specs, jobs=args.jobs, supervisor=supervisor)
             for name, outcome in zip(schedulers, outcomes):
                 print(f"[{name}]")
                 if outcome.ok:
-                    _print_result(outcome.value, degraded=False, protected=args.overload)
+                    _print_result(outcome.value, degraded, protected=args.overload)
                 else:
                     assert outcome.failure is not None
                     failed += 1
@@ -617,19 +620,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             schedulers, run_many(specs, jobs=args.jobs, supervisor=supervisor)
         ):
             print(f"[{name}]")
-            _print_result(result, degraded=False, protected=args.overload)
+            _print_result(result, degraded, protected=args.overload)
         return 0
-    try:
-        result = _run_one(
-            trace,
-            schedulers[0],
-            engine,
-            faults,
-            args.nodes,
-            shards=shards,
-            jobs=args.jobs,
-            supervisor=_supervisor_from_args(args),
-        )
     except CoordinatorCrash as exc:
         print(f"coordinator crashed: {exc}", file=sys.stderr)
         if getattr(args, "checkpoint_dir", None):
@@ -643,8 +635,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
-    _print_result(result, degraded=faults is not None, protected=args.overload)
-    return 0
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
@@ -763,50 +753,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     if args.speedup != 1.0:
         trace = trace.rescale(args.speedup)
-    engine = standard_engine()
-    faults = _fault_config(args)
-    degraded = faults is not None
-    if degraded or args.nodes > 1:
-        # Cluster/fault runs go through the multi-node runner, which
-        # the process pool does not fan out; run them inline.
-        results = [
-            _run_one(trace, name, engine, faults, args.nodes)
-            for name in args.schedulers
-        ]
-    elif args.salvage:
-        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
-        outcomes = run_many_outcomes(
-            specs, jobs=args.jobs, supervisor=_supervisor_from_args(args)
-        )
-        results = []
-        salvage_failures = []
-        for outcome in outcomes:
-            if outcome.ok:
-                results.append(outcome.value)
-            else:
-                assert outcome.failure is not None
-                salvage_failures.append(outcome.failure)
-        for failure in salvage_failures:
+    engine = standard_engine().with_(faults=_fault_config(args))
+    degraded = engine.faults.enabled
+    specs = [
+        RunSpec(trace, name, engine, label=name, n_nodes=args.nodes)
+        for name in args.schedulers
+    ]
+    supervisor = _supervisor_from_args(args)
+    if args.salvage:
+        outcomes = run_many_outcomes(specs, jobs=args.jobs, supervisor=supervisor)
+        failures = [o.failure for o in outcomes if o.failure is not None]
+        for failure in failures:
             print(f"FAILED: {failure.describe()}", file=sys.stderr)
-        schedulers = [name for name, o in zip(args.schedulers, outcomes) if o.ok]
-        rows = []
-        for name, result in zip(schedulers, results):
-            rows.append(
-                (
-                    name,
-                    result.throughput_qps,
-                    result.mean_response_time,
-                    result.cache_hit_ratio,
-                    result.disk["reads"],
-                )
-            )
-        print(render_table(["scheduler", "qps", "mean_rt_s", "cache_hit", "reads"], rows))
-        return 1 if salvage_failures else 0
+        done = [(name, o.value) for name, o in zip(args.schedulers, outcomes) if o.ok]
     else:
-        specs = [RunSpec(trace, name, engine, label=name) for name in args.schedulers]
-        results = run_many(specs, jobs=args.jobs, supervisor=_supervisor_from_args(args))
+        failures = []
+        done = list(
+            zip(args.schedulers, run_many(specs, jobs=args.jobs, supervisor=supervisor))
+        )
     rows = []
-    for name, result in zip(args.schedulers, results):
+    for name, result in done:
         row = (
             name,
             result.throughput_qps,
@@ -821,7 +787,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if degraded:
         headers += ["avail", "retries", "failovers", "timeouts"]
     print(render_table(headers, rows))
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

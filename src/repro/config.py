@@ -132,10 +132,8 @@ class SchedulerConfig:
         processes sub-queries in arrival order.
     adaptive_alpha:
         Enable the §V-A adaptive starvation-resistance controller
-        (JAWS); LifeRaft keeps ``alpha`` fixed.
-    run_length:
-        Number of consecutive completed queries forming one *run* —
-        the granularity of adaptive-α updates and SLRU promotion.
+        (JAWS); LifeRaft keeps ``alpha`` fixed.  The controller updates
+        once per run of :attr:`EngineConfig.run_length` completions.
     batch_size:
         ``k``, the maximum number of atoms co-scheduled per time step by
         the two-level framework (paper default 15).  ``1`` disables
@@ -157,7 +155,6 @@ class SchedulerConfig:
 
     alpha: float = 0.5
     adaptive_alpha: bool = False
-    run_length: int = 50
     batch_size: int = 15
     two_level: bool = True
     job_aware: bool = True
@@ -167,8 +164,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.run_length < 1:
-            raise ValueError("run_length must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.gating_max_lag is not None and self.gating_max_lag < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import EngineConfig, FaultConfig, SchedulerConfig
+from repro.config import EngineConfig, SchedulerConfig
 from repro.core.base import Scheduler
 from repro.core.jaws import JAWSScheduler
 from repro.core.liferaft import LifeRaftScheduler
@@ -40,15 +40,13 @@ def make_scheduler(
     """Construct a fresh scheduler for one run over ``trace``.
 
     ``config`` overrides the JAWS scheduler knobs (batch size k, initial
-    α, run length, gating valve); LifeRaft/NoShare ignore most of it by
+    α, gating valve); LifeRaft/NoShare ignore most of it by
     construction.  LifeRaft gets ``engine.max_sim_time`` as its clock
     bound, which lets it cache tie sets at α = 1.
     """
     engine = engine or EngineConfig()
     spec = trace.spec
-    base = config or SchedulerConfig(
-        alpha=0.5, adaptive_alpha=True, run_length=engine.run_length
-    )
+    base = config or SchedulerConfig(alpha=0.5, adaptive_alpha=True)
     key = name.lower()
     if key == "noshare":
         return NoShareScheduler()
@@ -72,17 +70,12 @@ def run_trace(
     scheduler: Scheduler | str,
     engine: Optional[EngineConfig] = None,
     config: Optional[SchedulerConfig] = None,
-    faults: Optional[FaultConfig] = None,
 ) -> RunResult:
     """Replay ``trace`` under ``scheduler`` (an instance or a factory
-    name) on a single node and return the results.
-
-    ``faults`` overrides ``engine.faults`` — a convenience so callers
-    can inject faults without rebuilding the whole engine config.
+    name) on a single node and return the results: the reference path
+    :func:`~repro.cluster.cluster.run_cluster` reproduces with one node.
     """
     engine = engine or EngineConfig()
-    if faults is not None:
-        engine = engine.with_(faults=faults)
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler, trace, engine, config)
     return Simulator(trace, [scheduler], engine).run()

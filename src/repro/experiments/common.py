@@ -85,9 +85,7 @@ def standard_engine() -> EngineConfig:
 
 def standard_scheduler_config(**overrides: Any) -> SchedulerConfig:
     """JAWS defaults: α₀ = 0.5, adaptive, k = 15 (paper §VI-B)."""
-    base = SchedulerConfig(
-        alpha=0.5, adaptive_alpha=True, batch_size=15, run_length=40
-    )
+    base = SchedulerConfig(alpha=0.5, adaptive_alpha=True, batch_size=15)
     return base.with_(**overrides) if overrides else base
 
 

@@ -2,8 +2,8 @@
 
 Replays the standard calibrated trace on a fixed-size cluster while the
 coordinator is split into 1, 2, 4, ... shards
-(:func:`repro.shard.run_sharded`).  The N=1 row is byte-identical to
-the single-coordinator cluster engine, so the table reads as "what does
+(:func:`repro.cluster.run_cluster`).  The N=1 row is the
+single-coordinator cluster engine, so the table reads as "what does
 coordinating the same workload through N independent, lease-fenced
 schedulers cost (or buy)": cross-shard messages replace shared-memory
 gating edges, so queries spanning shard boundaries pay the virtual
@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.cluster.cluster import run_cluster
 from repro.config import ShardConfig
 from repro.experiments.common import (
     ExperimentScale,
@@ -28,7 +29,6 @@ from repro.experiments.common import (
     sweep_supervisor,
 )
 from repro.experiments.report import render_table
-from repro.shard import run_sharded
 
 #: Cluster size for the sweep: divisible by every shard count below.
 N_NODES = 8
@@ -59,7 +59,7 @@ def run(
         crashes = ()
         if crash is not None and n_shards > 1:
             crashes = ((n_shards - 1, float(crash)),)
-        out = run_sharded(
+        out = run_cluster(
             trace,
             "jaws2",
             N_NODES,

@@ -269,7 +269,7 @@ class MaterializedScenario:
     crashes that plan arms, so the shard stage can require every one
     of them to actually fire.  The runner replays the trace under this
     plan with overload admission and the single-coordinator sanitizer
-    stripped (``run_sharded`` models neither) and audits the
+    stripped (a sharded ``run_cluster`` models neither) and audits the
     cross-shard conservation counters instead.
     """
 

@@ -150,7 +150,7 @@ def check_shard_conservation(
 ) -> Optional[str]:
     """Cross-shard sub-query conservation across epoch changes.
 
-    ``shard_stats`` is :attr:`~repro.shard.control.ShardRunResult.shard_stats`;
+    ``shard_stats`` is :attr:`~repro.cluster.cluster.ClusterResult.shard_stats`;
     the control plane already raises :class:`~repro.errors.ShardProtocolError`
     on a per-run violation, so this oracle re-derives the identities from
     the reported totals — a result whose counters were merged or

@@ -27,7 +27,7 @@ stages:
 ``shard``
     When the spec carries a ``shard_crash_storm`` or
     ``ownership_churn`` entry: replay the trace through the sharded
-    control plane (:func:`repro.shard.run_sharded`) with the armed
+    control plane (:func:`repro.cluster.run_cluster`) with the armed
     shard-crash plan, overload admission and the single-coordinator
     sanitizer stripped (the sharded path models neither), then run the
     terminal-state ``conservation`` oracle on the merged result and
@@ -54,6 +54,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
+from repro.cluster.cluster import run_cluster
 from repro.config import CheckpointConfig, OverloadConfig
 from repro.engine.results import RunResult
 from repro.engine.runner import make_scheduler, run_trace
@@ -330,15 +331,14 @@ def _shard_stage(
 ) -> Tuple[Optional[FuzzFailure], dict[str, Any]]:
     assert scenario.shards is not None
     stage = "shard"
-    from repro.shard import run_sharded  # deferred: pulls in the cluster stack
-
-    # run_sharded refuses overload admission and the single-coordinator
-    # sanitizer by design — strip both; the cross-shard conservation
-    # counters are the sharded run's audit mechanism.
+    # A sharded run_cluster refuses overload admission and the
+    # single-coordinator sanitizer by design — strip both; the
+    # cross-shard conservation counters are the sharded run's audit
+    # mechanism.
     engine = scenario.engine.with_(overload=OverloadConfig(), sanitize=False)
     n_nodes = 2 * scenario.shards.n_shards
     try:
-        out = run_sharded(
+        out = run_cluster(
             scenario.trace,
             spec.scheduler,
             n_nodes,

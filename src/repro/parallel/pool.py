@@ -1,7 +1,7 @@
 """Deterministic process-pool fan-out for independent simulation runs.
 
 The evaluation harness replays many independent ``(trace, scheduler,
-engine, faults)`` combinations — five schedulers per figure, speedup
+engine, cluster shape)`` combinations — five schedulers per figure, speedup
 sweeps, cache-policy tables, fuzz campaigns.  Each run is a pure
 function of its :class:`RunSpec` (the engine derives every random draw
 from seeds carried in the spec's configs; see DESIGN.md §7), so the
@@ -41,7 +41,6 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     List,
     Literal,
@@ -53,9 +52,9 @@ from typing import (
     overload,
 )
 
-from repro.config import EngineConfig, FaultConfig, SchedulerConfig, ShardConfig
+from repro.cluster.cluster import run_cluster
+from repro.config import EngineConfig, SchedulerConfig, ShardConfig
 from repro.engine.results import RunResult
-from repro.engine.runner import run_trace
 from repro.errors import WorkerCrashError
 from repro.parallel.supervisor import Outcome, SupervisorConfig, supervise
 from repro.workload.trace import Trace
@@ -83,16 +82,12 @@ class RunSpec:
     scheduler_config:
         Optional scheduler-knob overrides (batch size k, α policy,
         metric config).
-    faults:
-        Optional fault-injection plan; overrides ``engine.faults``.
     label:
         Free-form bookkeeping tag echoed back by callers (never read
         by the runner).  Carried on failure records so a poison spec
         stays identifiable after sweeps reorder their spec lists.
     n_nodes:
-        Cluster size; ``1`` replays on the single-node engine, larger
-        values route through :func:`~repro.cluster.cluster.run_cluster`
-        (or the sharded path when :attr:`shards` fans out).
+        Cluster size passed to :func:`~repro.cluster.cluster.run_cluster`.
     shards:
         Optional sharded-execution plan
         (:class:`~repro.config.ShardConfig`).  Part of the content
@@ -105,7 +100,6 @@ class RunSpec:
     scheduler: str
     engine: Optional[EngineConfig] = None
     scheduler_config: Optional[SchedulerConfig] = None
-    faults: Optional[FaultConfig] = None
     label: str = ""
     n_nodes: int = 1
     shards: Optional[ShardConfig] = None
@@ -135,41 +129,15 @@ class RunSpec:
 
 def _execute_spec(spec: RunSpec) -> RunResult:
     """Worker entry point: run one spec to completion (top-level so it
-    pickles by reference).  Routes on the spec's cluster shape: sharded
-    specs through :func:`repro.shard.run_sharded` (whose ``n_shards=1``
-    degenerate case is byte-identical to the cluster path), multi-node
-    specs through :func:`repro.cluster.cluster.run_cluster`, and plain
-    specs through the single-node runner exactly as before."""
-    if spec.shards is not None:
-        from repro.shard import run_sharded  # avoid import cycle
-
-        return run_sharded(
-            spec.trace,
-            spec.scheduler,
-            spec.n_nodes,
-            shards=spec.shards,
-            engine=spec.engine,
-            config=spec.scheduler_config,
-            faults=spec.faults,
-        ).result
-    if spec.n_nodes > 1:
-        from repro.cluster.cluster import run_cluster
-
-        return run_cluster(
-            spec.trace,
-            spec.scheduler,
-            spec.n_nodes,
-            engine=spec.engine,
-            config=spec.scheduler_config,
-            faults=spec.faults,
-        ).result
-    return run_trace(
+    pickles by reference)."""
+    return run_cluster(
         spec.trace,
         spec.scheduler,
+        spec.n_nodes,
         engine=spec.engine,
         config=spec.scheduler_config,
-        faults=spec.faults,
-    )
+        shards=spec.shards,
+    ).result
 
 
 def _raise_first_failure(outcomes: Sequence[Outcome]) -> None:

@@ -9,206 +9,24 @@ deterministic virtual-time control plane in
 seeded shard-crash failover, and cluster-consistent barrier recovery
 (:mod:`repro.shard.recovery`).
 
-:func:`run_sharded` is the entry point.  ``n_shards=1`` short-circuits
-to the single-coordinator cluster path and is byte-identical to
-:func:`~repro.cluster.cluster.run_cluster` — the sharded machinery only
-engages when there is actually more than one coordinator.
+:func:`repro.cluster.run_cluster` is the entry point: a
+:class:`~repro.config.ShardConfig` with ``n_shards > 1`` routes it
+here, and ``n_shards=1`` runs the single-coordinator cluster.
 """
 
-from __future__ import annotations
-
-import hashlib
-from typing import Optional
-
-from repro.cluster.cluster import run_cluster
-from repro.cluster.partition import MortonRangePartitioner
-from repro.config import (
-    CheckpointConfig,
-    EngineConfig,
-    FaultConfig,
-    OverloadConfig,
-    SchedulerConfig,
-    ShardConfig,
-)
-from repro.engine.runner import make_scheduler
-from repro.errors import ConfigurationError
-from repro.parallel.supervisor import SupervisorConfig
-from repro.shard.control import ClusterControlPlane, ShardRunResult
+from repro.shard.control import ClusterControlPlane, shard_fault_seed
 from repro.shard.coordinator import ShardSimulator
 from repro.shard.messages import ShardMessage
 from repro.shard.recovery import latest_manifest, resume_cluster
 from repro.shard.topology import OwnershipTable, ShardTopology
-from repro.workload.trace import Trace
 
 __all__ = [
     "ClusterControlPlane",
     "OwnershipTable",
     "ShardMessage",
-    "ShardRunResult",
     "ShardSimulator",
     "ShardTopology",
     "latest_manifest",
     "resume_cluster",
-    "run_sharded",
     "shard_fault_seed",
 ]
-
-
-def shard_fault_seed(seed: int, domain: int) -> int:
-    """Per-domain fault seed: a stable hash-derived stream so peer
-    domains never share fault draws, yet the whole cluster remains a
-    pure function of the run seed."""
-    digest = hashlib.sha256(f"{seed}:shard:{domain}".encode("utf-8")).hexdigest()
-    return int(digest[:12], 16)
-
-
-def _shard_engine(
-    engine: EngineConfig, topology: ShardTopology, domain: int
-) -> EngineConfig:
-    """Narrow the run's engine config to one domain: local node crashes
-    only, a derived fault seed, and no coordinator-crash / checkpoint /
-    overload / sanitizer — those concerns live in the control plane."""
-    local = set(topology.nodes_of_shard(domain))
-    faults = engine.faults.with_(
-        seed=shard_fault_seed(engine.faults.seed, domain),
-        node_crashes=tuple(
-            (int(node), float(down_t), float(up_t))
-            for node, down_t, up_t in engine.faults.node_crashes
-            if int(node) in local
-        ),
-        coordinator_crash_at=None,
-        coordinator_crash_window=None,
-    )
-    return engine.with_(
-        faults=faults,
-        checkpoint=CheckpointConfig(),
-        overload=OverloadConfig(),
-        sanitize=False,
-    )
-
-
-def run_sharded(
-    trace: Trace,
-    scheduler_name: str,
-    n_nodes: int,
-    shards: Optional[ShardConfig] = None,
-    engine: Optional[EngineConfig] = None,
-    config: Optional[SchedulerConfig] = None,
-    faults: Optional[FaultConfig] = None,
-    replication: Optional[int] = None,
-    jobs: int = 1,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> ShardRunResult:
-    """Replay ``trace`` across ``shards.n_shards`` coordinator shards.
-
-    ``faults`` overrides ``engine.faults`` exactly as in
-    :func:`~repro.cluster.cluster.run_cluster`; ``jobs > 1`` fans the
-    superstep windows out over the supervised process pool
-    (bit-identical to the serial path).  Raises
-    :class:`~repro.errors.ConfigurationError` for combinations the
-    sharded control plane does not model (overload admission and the
-    runtime sanitizer are single-coordinator concerns; checkpointing of
-    a sharded run goes through ``shards.checkpoint_dir`` barriers, not
-    ``engine.checkpoint``).
-    """
-    shards = shards or ShardConfig()
-    engine = engine or EngineConfig()
-    if faults is not None:
-        engine = engine.with_(faults=faults)
-    if replication is None:
-        replication = engine.faults.replication
-    if shards.sharded and engine.overload.enabled:
-        raise ConfigurationError(
-            "overload admission control is not modeled under sharded "
-            "execution; run with n_shards=1 or drop the overload config"
-        )
-    if shards.sharded and engine.sanitize:
-        raise ConfigurationError(
-            "the runtime sanitizer audits a single coordinator's invariants; "
-            "sharded runs are audited by the cross-shard conservation "
-            "counters instead — disable sanitize or run with n_shards=1"
-        )
-    if shards.sharded and engine.checkpoint.enabled:
-        raise ConfigurationError(
-            "sharded runs checkpoint through cluster barriers: set "
-            "ShardConfig.checkpoint_dir/barrier_every_events instead of "
-            "engine.checkpoint"
-        )
-    if shards.halt_after_barrier is not None and not shards.sharded:
-        raise ConfigurationError(
-            "halt_after_barrier interrupts the sharded control plane; "
-            "with n_shards=1 use the coordinator-crash fault instead"
-        )
-    topology = ShardTopology(n_nodes=n_nodes, n_shards=shards.n_shards)
-
-    if not shards.sharded:
-        # Degenerate case: exactly the single-coordinator cluster path,
-        # byte for byte.  Barrier knobs map onto the engine's own
-        # checkpoint config so `repro resume` keeps working.
-        if shards.checkpoint_dir is not None:
-            engine = engine.with_(
-                checkpoint=CheckpointConfig(
-                    directory=shards.checkpoint_dir,
-                    every_events=shards.barrier_every_events or 500,
-                )
-            )
-        cluster = run_cluster(
-            trace,
-            scheduler_name,
-            n_nodes,
-            engine=engine,
-            config=config,
-            replication=replication,
-        )
-        return ShardRunResult(
-            result=cluster.result,
-            n_shards=1,
-            topology_digest=topology.digest(),
-            shard_stats={
-                "n_shards": 1,
-                "topology_digest": topology.digest(),
-                "shard_crashes": 0,
-                "epoch_bumps": 0,
-                "stale_retries": 0,
-                "messages_delivered": 0,
-                # Same shape as the sharded path: one coordinator has
-                # no cross-shard traffic, so every counter is zero.
-                "conservation": {},
-            },
-        )
-
-    partitioner = MortonRangePartitioner(trace.spec, n_nodes, replication=replication)
-    partitioner.assert_replication(context="shard topology build")
-    full_crashes = tuple(
-        (int(node), float(down_t), float(up_t))
-        for node, down_t, up_t in engine.faults.node_crashes
-    )
-    domains = []
-    for d in range(shards.n_shards):
-        shard_engine = _shard_engine(engine, topology, d)
-        schedulers = [
-            make_scheduler(scheduler_name, trace, shard_engine, config)
-            for _ in topology.nodes_of_shard(d)
-        ]
-        domains.append(
-            ShardSimulator(
-                trace,
-                schedulers,
-                shard_engine,
-                topology,
-                d,
-                node_of=partitioner.node_of,
-                replicas_of=partitioner.replicas_of,
-                full_node_crashes=full_crashes,
-                message_delay=shards.message_delay,
-            )
-        )
-    control = ClusterControlPlane(
-        domains=domains,
-        topology=topology,
-        shards=shards,
-        partitioner=partitioner,
-        jobs=jobs,
-        supervisor=supervisor,
-    )
-    return control.run()

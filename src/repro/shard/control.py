@@ -36,18 +36,26 @@ with crashes is exactly reproducible — and resumable — by seed.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import math
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.cluster import ClusterResult
 from repro.cluster.partition import MortonRangePartitioner
-from repro.config import CheckpointConfig, ShardConfig
+from repro.config import (
+    CheckpointConfig,
+    EngineConfig,
+    OverloadConfig,
+    SchedulerConfig,
+    ShardConfig,
+)
 from repro.engine.results import RunResult, sum_counters
+from repro.engine.runner import make_scheduler
 from repro.errors import CoordinatorCrash, LivelockError, ShardProtocolError
 from repro.parallel.pool import map_many
 from repro.parallel.supervisor import SupervisorConfig
@@ -56,8 +64,9 @@ from repro.recovery.codec import SNAPSHOT_FORMAT_VERSION, encode_snapshot
 from repro.shard.coordinator import ShardSimulator
 from repro.shard.messages import ShardMessage
 from repro.shard.topology import OwnershipTable, ShardTopology
+from repro.workload.trace import Trace
 
-__all__ = ["ClusterControlPlane", "ShardRunResult", "MANIFEST_GLOB"]
+__all__ = ["ClusterControlPlane", "MANIFEST_GLOB", "shard_fault_seed"]
 
 #: Cluster manifest filename pattern (sibling of the shard-N/ subdirs).
 MANIFEST_GLOB = "cluster-*.manifest"
@@ -85,16 +94,37 @@ def _window_task(item: Tuple[bytes, float]) -> bytes:
     return pickle.dumps(sim, protocol=4)
 
 
-@dataclass(frozen=True)
-class ShardRunResult:
-    """A sharded run's outcome: the merged engine result plus the
-    cluster-level accounting the single-coordinator engine has no
-    notion of."""
+def shard_fault_seed(seed: int, domain: int) -> int:
+    """Per-domain fault seed: a stable hash-derived stream so peer
+    domains never share fault draws, yet the whole cluster remains a
+    pure function of the run seed."""
+    digest = hashlib.sha256(f"{seed}:shard:{domain}".encode("utf-8")).hexdigest()
+    return int(digest[:12], 16)
 
-    result: RunResult
-    n_shards: int
-    topology_digest: str
-    shard_stats: Dict[str, Any] = field(default_factory=dict)
+
+def _domain_engine(
+    engine: EngineConfig, topology: ShardTopology, domain: int
+) -> EngineConfig:
+    """Narrow the run's engine config to one domain: local node crashes
+    only, a derived fault seed, and no coordinator-crash / checkpoint /
+    overload / sanitizer — those concerns live in the control plane."""
+    local = set(topology.nodes_of_shard(domain))
+    faults = engine.faults.with_(
+        seed=shard_fault_seed(engine.faults.seed, domain),
+        node_crashes=tuple(
+            (int(node), float(down_t), float(up_t))
+            for node, down_t, up_t in engine.faults.node_crashes
+            if int(node) in local
+        ),
+        coordinator_crash_at=None,
+        coordinator_crash_window=None,
+    )
+    return engine.with_(
+        faults=faults,
+        checkpoint=CheckpointConfig(),
+        overload=OverloadConfig(),
+        sanitize=False,
+    )
 
 
 class ClusterControlPlane:
@@ -154,6 +184,47 @@ class ClusterControlPlane:
         self._next_barrier = shards.barrier_every_events
         for shard, when in self._crash_schedule():
             self._push_ctrl(when, "crash", shard)
+
+    @classmethod
+    def build(
+        cls,
+        trace: Trace,
+        scheduler: str,
+        engine: EngineConfig,
+        config: Optional[SchedulerConfig],
+        topology: ShardTopology,
+        shards: ShardConfig,
+        partitioner: MortonRangePartitioner,
+        jobs: int = 1,
+        supervisor: Optional[SupervisorConfig] = None,
+    ) -> "ClusterControlPlane":
+        """A fresh control plane over one :class:`ShardSimulator` per
+        shard domain, each with its engine narrowed by
+        :func:`_domain_engine`.  Called by
+        :func:`~repro.cluster.cluster.run_cluster`, which has already
+        refused the engine settings a sharded run does not model."""
+        partitioner.assert_replication(context="shard topology build")
+        domains = []
+        for d in range(topology.n_shards):
+            domain_engine = _domain_engine(engine, topology, d)
+            schedulers = [
+                make_scheduler(scheduler, trace, domain_engine, config)
+                for _ in topology.nodes_of_shard(d)
+            ]
+            domains.append(
+                ShardSimulator(
+                    trace,
+                    schedulers,
+                    domain_engine,
+                    topology,
+                    d,
+                    node_of=partitioner.node_of,
+                    replicas_of=partitioner.replicas_of,
+                    full_node_crashes=engine.faults.node_crashes,
+                    message_delay=shards.message_delay,
+                )
+            )
+        return cls(domains, topology, shards, partitioner, jobs=jobs, supervisor=supervisor)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -424,7 +495,7 @@ class ClusterControlPlane:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self) -> ShardRunResult:
+    def run(self) -> ClusterResult:
         for d, manager in enumerate(self._managers):
             if manager is not None:
                 manager.start(self.domains[d])
@@ -503,7 +574,7 @@ class ClusterControlPlane:
             )
         return totals
 
-    def _finalize(self) -> ShardRunResult:
+    def _finalize(self) -> ClusterResult:
         partials = [domain.partial() for domain in self.domains]
         conservation = self._check_conservation(partials)
         result = RunResult.merge([domain._result() for domain in self.domains])
@@ -526,9 +597,13 @@ class ClusterControlPlane:
             "shard_event_indices": [p["event_index"] for p in partials],
             "barriers": self._barrier_count,
         }
-        return ShardRunResult(
+        nodes = sorted(
+            (node for domain in self.domains for node in domain.owned_nodes),
+            key=lambda node: node.idx,
+        )
+        return ClusterResult(
             result=result,
-            n_shards=self.topology.n_shards,
-            topology_digest=self.topology.digest(),
             shard_stats=stats,
+            node_atoms_executed=[n.executor.stats.atoms_executed for n in nodes],
+            node_busy_seconds=[n.executor.stats.busy_seconds for n in nodes],
         )

@@ -51,7 +51,7 @@ class ShardSimulator(Simulator):
     built (:meth:`_node_slots` leaves peer slots ``None``), and deferral
     waits on recoveries anywhere in the cluster
     (:meth:`_recovery_schedule`).  The per-domain engine config has
-    already been narrowed by :func:`~repro.shard.run_sharded` (local
+    already been narrowed by :meth:`~repro.shard.control.ClusterControlPlane.build` (local
     node crashes only, no coordinator crash, no overload/sanitizer —
     cluster-level invariants are checked by the control plane and the
     conservation counters instead).  The methods below override exactly

@@ -68,6 +68,18 @@ class TestRunCommands:
     def test_run_with_cache_policy(self, trace_file, capsys):
         assert main(["run", "--trace", str(trace_file), "--cache", "slru"]) == 0
 
+    def test_multi_scheduler_cluster_run_matches_single_runs(self, trace_file, capsys):
+        cluster = ["--nodes", "2", "--disk-fault-rate", "0.05", "--replication", "2"]
+        argv = ["run", "--trace", str(trace_file)]
+        assert main(argv + ["--scheduler", "noshare", "jaws2"] + cluster) == 0
+        blocks = capsys.readouterr().out.split("[jaws2]\n")
+        assert len(blocks) == 2 and blocks[0].startswith("[noshare]\n")
+        together = {"noshare": blocks[0][len("[noshare]\n"):], "jaws2": blocks[1]}
+        for name, block in together.items():
+            assert "-- degraded-mode outcomes --" in block, name
+            assert main(argv + ["--scheduler", name] + cluster) == 0
+            assert capsys.readouterr().out == block, name
+
     def test_compare(self, trace_file, capsys):
         rc = main(
             [

@@ -11,7 +11,8 @@ faults}, three SHA-256 digests of one small sanitizer-armed run:
 * ``response_times`` — the per-query response times as ``float.hex``,
   so even sign-of-zero differences (invisible to ``==``) show.
 * ``result`` — :func:`~repro.fuzz.oracles.normalize_result` as
-  canonical JSON (wall-clock instrumentation stripped).
+  canonical JSON (the ``crash_effective`` lifecycle flag dropped,
+  injector counters zero-filled).
 
 A refactor of the engine, the schedulers, the executor or the storage
 layer must reproduce the file byte for byte.  Re-record it only for a

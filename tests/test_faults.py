@@ -96,7 +96,7 @@ class TestZeroFaultEquivalence:
     def test_disabled_config_changes_nothing(self, name):
         trace = small_trace(seed=5)
         base = run_trace(trace, name, engine())
-        explicit = run_trace(trace, name, engine(), faults=FaultConfig())
+        explicit = run_trace(trace, name, engine(faults=FaultConfig()))
         assert base.makespan == explicit.makespan
         np.testing.assert_array_equal(base.response_times, explicit.response_times)
         assert base.disk == explicit.disk
@@ -106,7 +106,7 @@ class TestZeroFaultEquivalence:
 
     def test_zero_fault_invariants_still_hold(self):
         eng = engine()
-        result = run_trace(small_trace(seed=7), "noshare", eng, faults=FaultConfig())
+        result = run_trace(small_trace(seed=7), "noshare", eng.with_(faults=FaultConfig()))
         assert result.cache["misses"] == result.disk["reads"]
         assert result.disk["seconds"] == pytest.approx(result.disk["reads"] * eng.cost.t_b)
 
@@ -115,7 +115,7 @@ class TestTransientFaults:
     def test_retries_happen_and_everything_completes(self):
         trace = small_trace(seed=1)
         result = run_trace(
-            trace, "jaws2", engine(), faults=FaultConfig(seed=3, transient_fault_rate=0.05)
+            trace, "jaws2", engine(faults=FaultConfig(seed=3, transient_fault_rate=0.05))
         )
         assert result.n_queries == trace.n_queries
         assert result.retries > 0
@@ -127,7 +127,7 @@ class TestTransientFaults:
         trace = small_trace(seed=1)
         clean = run_trace(trace, "liferaft2", engine())
         faulty = run_trace(
-            trace, "liferaft2", engine(), faults=FaultConfig(seed=3, transient_fault_rate=0.1)
+            trace, "liferaft2", engine(faults=FaultConfig(seed=3, transient_fault_rate=0.1))
         )
         # Failed attempts charge disk time and backoff, so total disk
         # seconds strictly exceed the clean run's.
@@ -140,8 +140,7 @@ class TestTransientFaults:
         slow = run_trace(
             trace,
             "liferaft2",
-            engine(),
-            faults=FaultConfig(seed=3, slow_read_rate=0.3, slow_read_factor=5.0),
+            engine(faults=FaultConfig(seed=3, slow_read_rate=0.3, slow_read_factor=5.0)),
         )
         assert slow.faults["slow_reads"] > 0
         assert slow.disk["seconds"] > clean.disk["seconds"]
@@ -152,13 +151,14 @@ class TestTransientFaults:
         result = run_trace(
             trace,
             "liferaft2",
-            engine(),
-            faults=FaultConfig(
-                seed=3,
-                transient_fault_rate=0.6,
-                max_retries=8,
-                circuit_breaker_threshold=2,
-                backoff_base=1e-4,
+            engine(
+                faults=FaultConfig(
+                    seed=3,
+                    transient_fault_rate=0.6,
+                    max_retries=8,
+                    circuit_breaker_threshold=2,
+                    backoff_base=1e-4,
+                )
             ),
         )
         assert result.faults["degraded_nodes"] == 1
@@ -169,8 +169,7 @@ class TestTransientFaults:
         result = run_trace(
             trace,
             "liferaft2",
-            engine(),
-            faults=FaultConfig(seed=9, transient_fault_rate=0.3, max_retries=0),
+            engine(faults=FaultConfig(seed=9, transient_fault_rate=0.3, max_retries=0)),
         )
         # Every transient failure abandons the read immediately and the
         # sub-query re-enters the queue for a fresh attempt.
@@ -192,7 +191,7 @@ class TestDeterminism:
             node_crashes=((1, 3.0, 20.0),),
         )
         runs = [
-            run_cluster(trace, name, 4, engine=engine(), faults=faults).result
+            run_cluster(trace, name, 4, engine=engine(faults=faults)).result
             for _ in range(2)
         ]
         assert runs[0].makespan == runs[1].makespan
@@ -204,10 +203,10 @@ class TestDeterminism:
     def test_different_seed_different_faults(self):
         trace = small_trace(seed=5)
         a = run_trace(
-            trace, "liferaft2", engine(), faults=FaultConfig(seed=1, transient_fault_rate=0.05)
+            trace, "liferaft2", engine(faults=FaultConfig(seed=1, transient_fault_rate=0.05))
         )
         b = run_trace(
-            trace, "liferaft2", engine(), faults=FaultConfig(seed=2, transient_fault_rate=0.05)
+            trace, "liferaft2", engine(faults=FaultConfig(seed=2, transient_fault_rate=0.05))
         )
         assert a.faults["transient_faults"] != b.faults["transient_faults"]
 
@@ -247,8 +246,7 @@ class TestConservation:
         result = run_trace(
             trace,
             "liferaft2",
-            engine(),
-            faults=FaultConfig(seed=21, permanent_loss_rate=0.05),
+            engine(faults=FaultConfig(seed=21, permanent_loss_rate=0.05)),
         )
         assert result.faults["data_loss_cancels"] > 0
         assert result.cancelled_queries > 0
@@ -260,7 +258,7 @@ class TestFailover:
     def test_crash_fails_over_to_replicas(self):
         trace = small_trace(seed=5, n_jobs=20)
         faults = FaultConfig(seed=7, replication=2, node_crashes=((1, 1.0, 40.0),))
-        out = run_cluster(trace, "jaws2", 4, engine=engine(), faults=faults)
+        out = run_cluster(trace, "jaws2", 4, engine=engine(faults=faults))
         result = out.result
         assert result.failovers > 0
         assert result.faults["node_downs"] == 1
@@ -270,7 +268,7 @@ class TestFailover:
     def test_crash_without_replicas_defers_until_recovery(self):
         trace = small_trace(seed=5, n_jobs=20)
         faults = FaultConfig(seed=7, node_crashes=((1, 1.0, 40.0),))
-        out = run_cluster(trace, "jaws2", 4, engine=engine(), faults=faults)
+        out = run_cluster(trace, "jaws2", 4, engine=engine(faults=faults))
         result = out.result
         # replication=1: the downed node's work has nowhere to go and
         # parks until the node recovers.
@@ -303,7 +301,7 @@ class TestDeadlines:
     def test_overdue_queries_cancel_and_jobs_abort(self):
         trace = small_trace(seed=6, n_jobs=20)
         faults = FaultConfig(seed=13, query_deadline=0.4)
-        result = run_trace(trace, "jaws2", engine(), faults=faults)
+        result = run_trace(trace, "jaws2", engine(faults=faults))
         assert result.timeouts > 0
         assert result.cancelled_queries >= result.timeouts
         assert_conserved(trace, result)
@@ -312,7 +310,7 @@ class TestDeadlines:
         trace = small_trace(seed=6)
         clean = run_trace(trace, "jaws2", engine())
         bounded = run_trace(
-            trace, "jaws2", engine(), faults=FaultConfig(query_deadline=1e6)
+            trace, "jaws2", engine(faults=FaultConfig(query_deadline=1e6))
         )
         assert bounded.timeouts == 0
         assert bounded.n_queries == trace.n_queries
@@ -321,7 +319,7 @@ class TestDeadlines:
     def test_ordered_job_tail_aborts(self):
         trace = small_trace(seed=6, n_jobs=20)
         result = run_trace(
-            trace, "liferaft2", engine(), faults=FaultConfig(query_deadline=0.4)
+            trace, "liferaft2", engine(faults=FaultConfig(query_deadline=0.4))
         )
         if result.aborted_jobs:
             assert result.faults["aborted_unarrived_queries"] > 0
@@ -340,7 +338,7 @@ class TestAcceptanceScenario:
             replication=2,
             node_crashes=((2, 2.0, 30.0),),
         )
-        out = run_cluster(trace, "jaws2", 4, engine=engine(), faults=faults)
+        out = run_cluster(trace, "jaws2", 4, engine=engine(faults=faults))
         result = out.result
         assert result.retries > 0
         assert result.failovers > 0

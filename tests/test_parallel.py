@@ -72,8 +72,8 @@ def identity_runs():
     """
     trace = small_trace()
     specs = [
-        RunSpec(trace, name, engine(), faults=faults, label=f"{name}/{tag}")
-        for faults, tag in ((None, "clean"), (FAULTS, "faults"))
+        RunSpec(trace, name, engine(faults=faults), label=f"{name}/{tag}")
+        for faults, tag in ((FaultConfig(), "clean"), (FAULTS, "faults"))
         for name in SCHEDULER_NAMES
     ]
     serial = run_many(specs, jobs=1)
@@ -88,7 +88,7 @@ def test_parallel_matches_serial(identity_runs, name, faulty):
     index = next(
         i
         for i, spec in enumerate(specs)
-        if spec.scheduler == name and (spec.faults is not None) == faulty
+        if spec.scheduler == name and spec.engine.faults.enabled == faulty
     )
     assert_identical(serial[index], parallel[index])
 
@@ -171,9 +171,8 @@ def _crash_twice_then_run(spec):
     if count < 2:
         (marker.parent / f"crash-{count}").touch()
         os._exit(13)  # simulates a hard worker death (no exception)
-    return pool_module.run_trace(
-        spec.trace, spec.scheduler, engine=spec.engine,
-        config=spec.scheduler_config, faults=spec.faults,
+    return run_trace(
+        spec.trace, spec.scheduler, engine=spec.engine, config=spec.scheduler_config
     )
 
 

@@ -8,7 +8,8 @@ digests of one small 4-node sharded run:
   ``float.hex``, so even sign-of-zero differences (invisible to ``==``)
   show;
 * ``result`` — :func:`~repro.fuzz.oracles.normalize_result` as canonical
-  JSON (wall-clock instrumentation stripped);
+  JSON (the ``crash_effective`` lifecycle flag dropped, injector
+  counters zero-filled);
 * ``shard_stats`` — the control plane's accounting (conservation
   counters, lease epochs, operators, per-shard event indices, message
   and retry counts) as canonical JSON.
@@ -32,9 +33,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.cluster import run_cluster
 from repro.config import FaultConfig, ShardConfig
 from repro.fuzz.oracles import normalize_result
-from repro.shard import run_sharded
 from repro.workload.generator import WorkloadParams, generate_trace
 from tests.test_shard import SPEC, engine
 
@@ -66,13 +67,12 @@ def _digest(text: str) -> str:
 @functools.lru_cache(maxsize=None)
 def run_cell(n_shards: int, mix: str, name: str) -> dict[str, str]:
     crashes = ((1, 40.0),) if mix == "shard_crash" else ()
-    out = run_sharded(
+    out = run_cluster(
         _trace(),
         name,
         N_NODES,
         shards=ShardConfig(n_shards=n_shards, crashes=crashes),
-        engine=engine(),
-        faults=FAULTS if mix != "clean" else None,
+        engine=engine(faults=FAULTS) if mix != "clean" else engine(),
     )
     response_hex = ",".join(float(t).hex() for t in out.result.response_times)
     return {
